@@ -29,15 +29,17 @@ from .epoly import (
     chi_y_polynomial,
     euler_number,
     format_epoly,
+    format_upoly,
     poincare_polynomial,
 )
 from .formulas import (
     default_lower_bounds,
     euler_partition_function,
+    fixed_component_counts,
     genus0_closed_form,
     motivic_partition_function,
 )
-from .oracle import enumerate_fixed_components, oracle_partition_function
+from .oracle import oracle_partition_function
 from .qseries import MSeries, Window, WindowMismatch, series_to_json, shift_rewindow
 from .smoothness import SmoothnessVerdict, smoothness_status
 
@@ -122,24 +124,6 @@ def _upoly_to_json(p: dict[int, int]) -> list[dict]:
     return [{"e": e, "c": str(p[e])} for e in sorted(p)]
 
 
-def _format_upoly(p: dict[int, int], var: str) -> str:
-    if not p:
-        return "0"
-    parts = []
-    for e in sorted(p):
-        c = p[e]
-        if e == 0:
-            body = str(abs(c))
-        else:
-            mono = var if e == 1 else f"{var}^{e}"
-            body = mono if abs(c) == 1 else f"{abs(c)}*{mono}"
-        parts.append(("-" if c < 0 else "+", body))
-    text = ("-" if parts[0][0] == "-" else "") + parts[0][1]
-    for sign, body in parts[1:]:
-        text += f" {sign} {body}"
-    return text
-
-
 def _specialized_series_json(series: MSeries, fn, var: str) -> dict:
     return {
         "window": {"lo": list(series.window.lo), "hi": list(series.window.hi)},
@@ -197,12 +181,12 @@ def cmd_compute(config: RunConfig) -> int:
     elif config.realization == "poincare":
         series_json = _specialized_series_json(series, poincare_polynomial, "z")
         coeff_text = [
-            (d, _format_upoly(poincare_polynomial(c), "z")) for d, c in series.items()
+            (d, format_upoly(poincare_polynomial(c), "z")) for d, c in series.items()
         ]
     else:
         series_json = _specialized_series_json(series, chi_y_polynomial, "y")
         coeff_text = [
-            (d, _format_upoly(chi_y_polynomial(c), "y")) for d, c in series.items()
+            (d, format_upoly(chi_y_polynomial(c), "y")) for d, c in series.items()
         ]
 
     vd_table = [
@@ -248,12 +232,21 @@ def _series_mismatch(lhs: MSeries, rhs: MSeries, lhs_name: str, rhs_name: str):
     return {"detail": "windows differ"}
 
 
-def _equal_degree_shift(config: RunConfig, profile: NestingProfile) -> tuple[int, ...]:
+def _genus0_series(config: RunConfig, profile: NestingProfile, window: Window) -> MSeries:
+    """The genus-0 product form of a bundle O(c)^r: the free-bundle series
+    shifted by c * s into the window."""
+    if config.genus != 0:
+        raise InputError(f"suite {config.suite} needs --genus 0")
     degs = set(config.degrees)
     if len(degs) != 1:
         raise InputError("this suite needs all summand degrees equal")
     c = degs.pop()
-    return tuple(c * x for x in profile.s)
+    shift = tuple(c * x for x in profile.s)
+    inner = Window(
+        tuple(a - t for a, t in zip(window.lo, shift)),
+        tuple(b - t for b, t in zip(window.hi, shift)),
+    )
+    return shift_rewindow(genus0_closed_form(profile, inner), shift, ONE, window)
 
 
 def cmd_verify(config: RunConfig) -> int:
@@ -285,17 +278,10 @@ def cmd_verify(config: RunConfig) -> int:
             checked = len(list(window.cells()))
             mismatch = _series_mismatch(lhs, rhs, "formula", "enumeration")
         elif suite == "genus0":
-            if config.genus != 0:
-                raise InputError("suite genus0 needs --genus 0")
-            shift = _equal_degree_shift(config, profile)
+            rhs = _genus0_series(config, profile, window)
             lhs = motivic_partition_function(
                 curve, bundle, profile, window, parallel=config.parallel
             )
-            inner = Window(
-                tuple(a - t for a, t in zip(window.lo, shift)),
-                tuple(b - t for b, t in zip(window.hi, shift)),
-            )
-            rhs = shift_rewindow(genus0_closed_form(profile, inner), shift, ONE, window)
             checked = len(list(window.cells()))
             mismatch = _series_mismatch(lhs, rhs, "fixed_locus_sum", "product_form")
         elif suite == "euler_spec":
@@ -329,15 +315,7 @@ def cmd_verify(config: RunConfig) -> int:
                     }
                     break
         elif suite == "b0":
-            if config.genus != 0:
-                raise InputError("suite b0 needs --genus 0")
-            shift = _equal_degree_shift(config, profile)
-            inner = Window(
-                tuple(a - t for a, t in zip(window.lo, shift)),
-                tuple(b - t for b, t in zip(window.hi, shift)),
-            )
-            series = shift_rewindow(genus0_closed_form(profile, inner), shift, ONE, window)
-            for d, c in series.items():
+            for d, c in _genus0_series(config, profile, window).items():
                 checked += 1
                 b0 = poincare_polynomial(c).get(0, 0)
                 if b0 != 1:
@@ -367,15 +345,12 @@ def cmd_info(config: RunConfig) -> int:
     curve, bundle, profile = _build_geometry(config)
     window = _build_window(config, bundle, profile)
     verdict = _verdict(config, curve, bundle, profile)
-    counts: dict[tuple[int, ...], int] = {}
-    for sigma in block_permutations(profile):
-        for comp in enumerate_fixed_components(sigma, bundle, profile, window):
-            counts[comp.degree] = counts.get(comp.degree, 0) + 1
+    counts = fixed_component_counts(bundle, profile, window)
     table = [
         {
             "d": list(d),
             "vd": virtual_dimension(profile, d, curve.genus, bundle.total_degree),
-            "fixed_components": counts.get(d, 0),
+            "fixed_components": euler_number(counts.coefficient(d)),
         }
         for d in window.cells()
     ]

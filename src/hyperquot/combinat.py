@@ -69,10 +69,6 @@ class NestingProfile:
         raise AssertionError("unreachable: blocks partition 1..r")
 
 
-def profile_new(r: int, s: tuple[int, ...] | list[int]) -> NestingProfile:
-    return NestingProfile(r, tuple(s))
-
-
 @dataclass(frozen=True)
 class BundleSpec:
     degrees: tuple[int, ...]
@@ -232,10 +228,6 @@ def block_permutations(profile: NestingProfile) -> tuple[BlockPermutation, ...]:
 
     place(0, tuple(range(1, profile.rank + 1)), ())
     return tuple(out)
-
-
-def enumerate_block_permutations(profile: NestingProfile):
-    return block_permutations(profile)
 
 
 def stratum_weight_identity(profile: NestingProfile) -> bool:

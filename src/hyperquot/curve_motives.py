@@ -67,24 +67,6 @@ def sym_class(genus: int, n: int) -> EPoly:
     return sym_classes(genus, n)[n]
 
 
-class ZetaSeries:
-    """Truncated zeta function: coefficients c_0..c_N with c_n = [Sym^n C]."""
-
-    __slots__ = ("genus", "order", "coefficients")
-
-    def __init__(self, genus: int, order: int):
-        self.genus = genus
-        self.order = order
-        self.coefficients = tuple(sym_classes(genus, order))
-
-    def __getitem__(self, n: int) -> EPoly:
-        return self.coefficients[n]
-
-
-def zeta_series(genus: int, order: int) -> ZetaSeries:
-    return ZetaSeries(genus, order)
-
-
 def zeta_rationality_check(genus: int, order: int) -> bool:
     """Multiply the zeta expansion by (1 - t)(1 - L t) and verify every
     coefficient in degrees 2g+1..order vanishes, i.e. the numerator is a

@@ -192,16 +192,6 @@ def lefschetz_power(k: int) -> EPoly:
     return EPoly.monomial(k, k)
 
 
-def epoly_arith(a: EPoly, b: EPoly, op: str) -> EPoly:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
-
-
 def euler_number(a: EPoly) -> int:
     """Topological Euler characteristic: evaluate at u = v = 1."""
     return sum(a.terms.values())
@@ -241,22 +231,6 @@ def chi_y_polynomial(a: EPoly) -> dict[int, int]:
         else:
             out.pop(pu, None)
     return out
-
-
-def specialize(a: EPoly, target: str):
-    """Dispatch to one of the classical specializations.
-
-    ``euler`` returns an integer; ``poincare`` and ``chi_y`` return a
-    univariate polynomial as a degree -> coefficient mapping and raise
-    NegativeExponent on Laurent input.
-    """
-    if target == "euler":
-        return euler_number(a)
-    if target == "poincare":
-        return poincare_polynomial(a)
-    if target == "chi_y":
-        return chi_y_polynomial(a)
-    raise ValueError(f"unknown specialization target {target!r}")
 
 
 # -- quotients of products of (L**k - 1) ------------------------------------
@@ -346,36 +320,43 @@ def _fmt_var(name: str, e: int) -> str:
     return f"{name}^{e}"
 
 
-def format_epoly(a: EPoly) -> str:
-    """Human-readable rendering; powers of uv are printed as powers of L."""
-    if not a.terms:
-        return "0"
-    diagonal = a.is_diagonal()
+def _format_terms(terms: list[tuple[int, str]]) -> str:
+    """Join (coefficient, monomial) pairs in the given order; an empty
+    monomial is the constant term."""
     parts = []
-    for (pu, pv) in sorted(a.terms, key=lambda k: (k[0] + k[1], k[0])):
-        c = a.terms[(pu, pv)]
-        if diagonal:
-            mono = "" if pu == 0 else _fmt_var("L", pu)
-        else:
-            factors = []
-            if pu:
-                factors.append(_fmt_var("u", pu))
-            if pv:
-                factors.append(_fmt_var("v", pv))
-            mono = "*".join(factors)
+    for c, mono in terms:
         if not mono:
             body = str(abs(c))
-        elif abs(c) == 1:
+        elif c == 1 or c == -1:
             body = mono
         else:
             body = f"{abs(c)}*{mono}"
-        sign = "-" if c < 0 else "+"
-        parts.append((sign, body))
-    first_sign, first_body = parts[0]
-    text = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in parts[1:]:
-        text += f" {sign} {body}"
-    return text
+        parts.append(("- " if c < 0 else "+ ") + body)
+    if not parts:
+        return "0"
+    first = parts[0]
+    parts[0] = first[2:] if first[0] == "+" else "-" + first[2:]
+    return " ".join(parts)
+
+
+def format_epoly(a: EPoly) -> str:
+    """Human-readable rendering; powers of uv are printed as powers of L."""
+    diagonal = a.is_diagonal()
+    terms = []
+    for (pu, pv), c in sorted(a.terms.items(), key=lambda t: (t[0][0] + t[0][1], t[0][0])):
+        if diagonal:
+            mono = _fmt_var("L", pu) if pu else ""
+        elif pu and pv:
+            mono = f"{_fmt_var('u', pu)}*{_fmt_var('v', pv)}"
+        else:
+            mono = _fmt_var("u", pu) if pu else _fmt_var("v", pv) if pv else ""
+        terms.append((c, mono))
+    return _format_terms(terms)
+
+
+def format_upoly(p: dict[int, int], var: str) -> str:
+    """Rendering of a univariate specialization (degree -> coefficient)."""
+    return _format_terms([(p[e], _fmt_var(var, e) if e else "") for e in sorted(p)])
 
 
 def epoly_to_json(a: EPoly) -> list[dict]:

@@ -1,6 +1,6 @@
 """Closed-form partition functions of hyperquot schemes on a curve.
 
-Three generating functions over the multidegree lattice:
+Four generating functions over the multidegree lattice:
 
 * ``motivic_partition_function`` -- the fixed-locus sum over block
   permutations of a Lefschetz prefactor times a product of twisted zeta
@@ -10,6 +10,16 @@ Three generating functions over the multidegree lattice:
   with the free bundle: the flag-variety class times geometric factors.
 * ``euler_partition_function`` -- the Euler-characteristic series, valid
   with no smoothness assumption.
+* ``fixed_component_counts`` -- the number of torus-fixed components at
+  each multidegree: the motivic sum with every class set to 1.
+
+All four are one kind of value, a *formula*: a mapping from an ordered
+tuple of factors to the terms ``(shift, coeff)`` that share that product.
+Its series is the sum over groups and terms of ``coeff * q**shift`` times
+the product of the factors.  A factor ``(kind, a, m)`` is the zeta function
+of the curve at ``L**a q**m`` (kind ``zeta``), ``1/(1 - L**a q**m)``
+(``geometric``) or ``1 - L**a q**m`` (``linear``).  ``_sigma_series``
+evaluates one group; no other function here does series arithmetic.
 
 None of these enforce smoothness; callers consult the smoothness module
 for whether the motivic output is certified to equal the motive.
@@ -20,13 +30,7 @@ from __future__ import annotations
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 
-from .combinat import (
-    BlockPermutation,
-    BundleSpec,
-    CurveSpec,
-    NestingProfile,
-    block_permutations,
-)
+from .combinat import BundleSpec, CurveSpec, NestingProfile, block_permutations
 from .curve_motives import zeta_divide
 from .epoly import ONE, EPoly, flag_motive, lefschetz_power, poincare_polynomial
 from .qseries import (
@@ -39,19 +43,24 @@ from .qseries import (
     zero_series,
 )
 
+Factor = tuple[str, int, tuple[int, ...]]
+Formula = dict[tuple[Factor, ...], list[tuple[tuple[int, ...], EPoly]]]
 
-def _check_ranks(bundle: BundleSpec, profile: NestingProfile):
-    if bundle.rank != profile.rank:
-        raise ValueError(
-            f"bundle rank {bundle.rank} != profile rank {profile.rank}"
-        )
+
+def _check_shape(
+    profile: NestingProfile, bundle: BundleSpec | None = None, window: Window | None = None
+):
+    if bundle is not None and bundle.rank != profile.rank:
+        raise ValueError(f"bundle rank {bundle.rank} != profile rank {profile.rank}")
+    if window is not None and window.arity != profile.length:
+        raise ValueError(f"window arity {window.arity} != profile length {profile.length}")
 
 
 def default_lower_bounds(bundle: BundleSpec, profile: NestingProfile) -> tuple[int, ...]:
     """Componentwise minimum over block permutations of the degree
     prefactors: at index j this is the sum of the s_j smallest degrees.
     No nonzero coefficient sits below these bounds."""
-    _check_ranks(bundle, profile)
+    _check_shape(profile, bundle)
     ordered = sorted(bundle.degrees)
     return tuple(sum(ordered[: profile.s[j - 1]]) for j in range(1, profile.length + 1))
 
@@ -61,36 +70,69 @@ def _direction(l: int, i: int, j: int) -> tuple[int, ...]:
     return tuple(1 if i <= k <= j else 0 for k in range(1, l + 1))
 
 
-def _sigma_series(
-    genus: int,
-    degrees: tuple[int, ...],
-    profile: NestingProfile,
-    window: Window,
-    values: tuple[int, ...],
-) -> MSeries:
-    """The contribution of one block permutation, truncated to the window."""
-    sigma = BlockPermutation(profile, values)
+def _slots(profile: NestingProfile):
+    """(i, j, alpha, m) for 1 <= i <= j <= l and alpha in block j, in the
+    loop order (j, alpha, i), with m the direction of q_i ... q_j."""
     l = profile.length
-    pre = tuple(sigma.degree_prefactor(j, degrees) for j in range(1, l + 1))
-    if any(h - p < 0 for h, p in zip(window.hi, pre)):
-        return zero_series(window)
-    inner = Window(
-        tuple(min(0, a - p) for a, p in zip(window.lo, pre)),
-        tuple(h - p for h, p in zip(window.hi, pre)),
-    )
-    acc = one_series(inner)
     for j in range(1, l + 1):
         for alpha in profile.block_range(j):
             for i in range(1, j + 1):
-                acc = zeta_divide(
-                    acc, genus, sigma.zeta_exponent(i, j, alpha), _direction(l, i, j)
-                )
-    offset = sum(sigma.stratum_offset(j, genus, degrees) for j in range(1, l + 1))
-    return shift_rewindow(acc, pre, lefschetz_power(offset), window)
+                yield i, j, alpha, _direction(l, i, j)
+
+
+def _prefactor(sigma, degrees: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(
+        sigma.degree_prefactor(j, degrees) for j in range(1, sigma.profile.length + 1)
+    )
+
+
+def _prefactor_terms(bundle: BundleSpec, profile: NestingProfile):
+    """One term per distinct degree prefactor, weighted by how many block
+    permutations share it."""
+    mult = Counter(_prefactor(sigma, bundle.degrees) for sigma in block_permutations(profile))
+    return [(pre, EPoly.from_int(n)) for pre, n in sorted(mult.items())]
+
+
+def _sigma_series(
+    genus: int,
+    factors: tuple[Factor, ...],
+    terms: list[tuple[tuple[int, ...], EPoly]],
+    window: Window,
+) -> MSeries:
+    """One group of a formula: its factor product, built once on the
+    window 0..max(hi - shift) and summed over the terms, shifted and
+    scaled into the window.  Factors are applied in the order given."""
+    hi = window.hi
+    terms = [t for t in terms if all(h >= s for h, s in zip(hi, t[0]))]
+    if not terms:
+        return zero_series(window)
+    top = tuple(max(h - t[0][k] for t in terms) for k, h in enumerate(hi))
+    acc = one_series(Window((0,) * len(hi), top))
+    for kind, a, m in factors:
+        if kind == "zeta":
+            acc = zeta_divide(acc, genus, a, m)
+        elif kind == "geometric":
+            acc = geometric_divide(acc, lefschetz_power(a), m)
+        else:
+            acc = multiply_sparse(acc, [((0,) * len(hi), ONE), (m, -lefschetz_power(a))])
+    parts = [shift_rewindow(acc, shift, c, window) for shift, c in terms]
+    return sum(parts[1:], parts[0])
 
 
 def _sigma_task(args):
     return _sigma_series(*args)
+
+
+def _evaluate(formula: Formula, genus: int, window: Window, parallel: bool = False) -> MSeries:
+    """The series of a formula.  Exact integer arithmetic makes the
+    reduction order irrelevant, so the parallel path is bit-identical."""
+    args = [(genus, factors, terms, window) for factors, terms in formula.items()]
+    if parallel and len(args) > 1:
+        with ProcessPoolExecutor() as pool:
+            parts = list(pool.map(_sigma_task, args))
+    else:
+        parts = [_sigma_series(*a) for a in args]
+    return sum(parts, zero_series(window))
 
 
 def motivic_partition_function(
@@ -101,25 +143,19 @@ def motivic_partition_function(
     parallel: bool = False,
 ) -> MSeries:
     """Sum over block permutations of the Lefschetz-weighted prefactor times
-    the product of twisted zeta evaluations.  Exact integer arithmetic makes
-    the reduction order irrelevant, so the parallel path is bit-identical."""
-    _check_ranks(bundle, profile)
-    if window.arity != profile.length:
-        raise ValueError(f"window arity {window.arity} != profile length {profile.length}")
-    perms = block_permutations(profile)
-    args = [
-        (curve.genus, bundle.degrees, profile, window, sigma.values)
-        for sigma in perms
-    ]
-    if parallel and len(args) > 1:
-        with ProcessPoolExecutor() as pool:
-            parts = list(pool.map(_sigma_task, args))
-    else:
-        parts = [_sigma_series(*a) for a in args]
-    total = zero_series(window)
-    for p in parts:
-        total = total + p
-    return total
+    the product of twisted zeta evaluations.  Block permutations with the
+    same multiset of zeta factors share one product."""
+    _check_shape(profile, bundle, window)
+    g, degrees = curve.genus, bundle.degrees
+    groups: dict[tuple[Factor, ...], tuple] = {}
+    for sigma in block_permutations(profile):
+        factors = tuple(
+            ("zeta", sigma.zeta_exponent(i, j, alpha), m) for i, j, alpha, m in _slots(profile)
+        )
+        offset = sum(sigma.stratum_offset(j, g, degrees) for j in range(1, profile.length + 1))
+        term = (_prefactor(sigma, degrees), lefschetz_power(offset))
+        groups.setdefault(tuple(sorted(factors)), (factors, []))[1].append(term)
+    return _evaluate(dict(groups.values()), g, window, parallel)
 
 
 def genus0_closed_form(profile: NestingProfile, window: Window) -> MSeries:
@@ -127,22 +163,13 @@ def genus0_closed_form(profile: NestingProfile, window: Window) -> MSeries:
     the flag-variety class divided by the product of
     (1 - L**(r_i - alpha) q_i..q_j)(1 - L**(r_{i-1} - alpha + 1) q_i..q_j)
     over 1 <= i <= j <= l and alpha in block j."""
-    l = profile.length
-    if window.arity != l:
-        raise ValueError(f"window arity {window.arity} != profile length {l}")
-    inner = Window(tuple(min(0, a) for a in window.lo), window.hi)
-    acc = one_series(inner)
-    cls = flag_motive(profile)
-    acc = MSeries(inner, {d: cls * c for d, c in acc.coeffs.items()})
-    for j in range(1, l + 1):
-        for alpha in profile.block_range(j):
-            for i in range(1, j + 1):
-                m = _direction(l, i, j)
-                acc = geometric_divide(acc, lefschetz_power(profile.corank(i) - alpha), m)
-                acc = geometric_divide(
-                    acc, lefschetz_power(profile.corank(i - 1) - alpha + 1), m
-                )
-    return acc.restrict(window)
+    _check_shape(profile, window=window)
+    factors = []
+    for i, _j, alpha, m in _slots(profile):
+        factors.append(("geometric", profile.corank(i) - alpha, m))
+        factors.append(("geometric", profile.corank(i - 1) - alpha + 1, m))
+    zero = (0,) * profile.length
+    return _evaluate({tuple(factors): [(zero, flag_motive(profile))]}, 0, window)
 
 
 def euler_partition_function(
@@ -154,45 +181,27 @@ def euler_partition_function(
     """Euler-characteristic series, valid with no smoothness assumption:
     the sum over block permutations of the prefactor monomials, times
     prod (1 - q_i..q_j)**((2g-2)(r_j - r_{j+1}))."""
-    _check_ranks(bundle, profile)
+    _check_shape(profile, bundle, window)
     l = profile.length
-    if window.arity != l:
-        raise ValueError(f"window arity {window.arity} != profile length {l}")
-    minpre = default_lower_bounds(bundle, profile)
-    hi = tuple(h - p for h, p in zip(window.hi, minpre))
-    if any(h < 0 for h in hi):
-        return zero_series(window)
-    inner = Window((0,) * l, hi)
-    prod = one_series(inner)
-    g = curve.genus
+    factors = []
     for j in range(1, l + 1):
-        e = (2 * g - 2) * (profile.corank(j) - profile.corank(j + 1))
-        if e == 0:
-            continue
+        e = (2 * curve.genus - 2) * (profile.corank(j) - profile.corank(j + 1))
+        kind = "linear" if e > 0 else "geometric"
         for i in range(1, j + 1):
-            m = _direction(l, i, j)
-            if e > 0:
-                for _ in range(e):
-                    prod = multiply_sparse(prod, [((0,) * l, ONE), (m, EPoly.from_int(-1))])
-            else:
-                for _ in range(-e):
-                    prod = geometric_divide(prod, ONE, m)
-    prefactors = Counter(
-        tuple(sigma.degree_prefactor(j, bundle.degrees) for j in range(1, l + 1))
-        for sigma in block_permutations(profile)
-    )
-    total = zero_series(window)
-    for pre, mult in sorted(prefactors.items()):
-        total = total + shift_rewindow(prod, pre, EPoly.from_int(mult), window)
-    return total
+            factors += [(kind, 0, _direction(l, i, j))] * abs(e)
+    return _evaluate({tuple(factors): _prefactor_terms(bundle, profile)}, curve.genus, window)
 
 
-def unnested_partition_function(
-    curve: CurveSpec, bundle: BundleSpec, quotient_rank: int, window: Window
+def fixed_component_counts(
+    bundle: BundleSpec, profile: NestingProfile, window: Window
 ) -> MSeries:
-    """Single-step special case: quotients of one fixed rank."""
-    profile = NestingProfile(bundle.rank, (quotient_rank,))
-    return motivic_partition_function(curve, bundle, profile, window)
+    """Number of torus-fixed components at each multidegree, as integer
+    coefficients: the sum over block permutations of the prefactor
+    monomials, times 1/(1 - q_i..q_j) per (i, j, alpha).  Each factor counts
+    one step of a nondecreasing length tuple."""
+    _check_shape(profile, bundle, window)
+    factors = tuple(("geometric", 0, m) for *_, m in _slots(profile))
+    return _evaluate({factors: _prefactor_terms(bundle, profile)}, 0, window)
 
 
 def poincare_series(a: MSeries) -> dict[tuple[int, ...], dict[int, int]]:

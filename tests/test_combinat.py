@@ -13,7 +13,6 @@ from hyperquot.combinat import (
     NestingProfile,
     block_permutations,
     flag_dimension,
-    profile_new,
     stratum_weight_identity,
     virtual_dimension,
 )
@@ -27,17 +26,17 @@ def all_profiles(rmax, lmax, rmin=1):
 
 
 def test_profile_new():
-    p = profile_new(2, (1,))
+    p = NestingProfile(2, (1,))
     assert p.coranks == (2, 1, 0)
-    assert profile_new(3, (1, 2)).coranks == (3, 2, 1, 0)
+    assert NestingProfile(3, [1, 2]).coranks == (3, 2, 1, 0)
     with pytest.raises(InvalidProfile):
-        profile_new(2, (1, 0))
+        NestingProfile(2, (1, 0))
     with pytest.raises(InvalidProfile):
-        profile_new(2, (-1,))
+        NestingProfile(2, (-1,))
     with pytest.raises(InvalidProfile):
-        profile_new(2, (1, 3))
+        NestingProfile(2, (1, 3))
     with pytest.raises(InvalidProfile):
-        profile_new(0, (0,))
+        NestingProfile(0, (0,))
 
 
 def test_block_structure():

@@ -17,7 +17,6 @@ from hyperquot.epoly import (
     InvalidRange,
     NegativeExponent,
     chi_y_polynomial,
-    epoly_arith,
     epoly_from_json,
     epoly_to_json,
     euler_number,
@@ -26,7 +25,6 @@ from hyperquot.epoly import (
     grassmannian_motive,
     lefschetz_power,
     poincare_polynomial,
-    specialize,
 )
 
 L = LEFSCHETZ
@@ -37,9 +35,9 @@ def curve_class(g):
 
 
 def test_arith_identity_cases():
-    assert epoly_arith(ONE + L, ONE, "mul") == ONE + L
-    assert epoly_arith(ONE + L, ONE - L, "mul") == ONE - L * L
-    assert epoly_arith(ONE + L, ONE + L, "sub") == ZERO
+    assert (ONE + L) * ONE == ONE + L
+    assert (ONE + L) * (ONE - L) == ONE - L * L
+    assert (ONE + L) - (ONE + L) == ZERO
     assert not (ONE + L - L - ONE)
 
 
@@ -52,12 +50,12 @@ def test_lefschetz_power():
 
 def test_specialization_anchors():
     # the three conventions that pin the substitutions
-    assert specialize(ONE + L, "euler") == 2
-    assert specialize(ONE + L, "chi_y") == {0: 1, 1: 1}
+    assert euler_number(ONE + L) == 2
+    assert chi_y_polynomial(ONE + L) == {0: 1, 1: 1}
     for g in range(4):
         c = curve_class(g)
-        assert specialize(c, "euler") == 2 - 2 * g
-        assert specialize(c, "poincare") == ({0: 1, 1: 2 * g, 2: 1} if g else {0: 1, 2: 1})
+        assert euler_number(c) == 2 - 2 * g
+        assert poincare_polynomial(c) == ({0: 1, 1: 2 * g, 2: 1} if g else {0: 1, 2: 1})
 
 
 def test_specialization_rejects_laurent():
@@ -162,10 +160,11 @@ def test_json_roundtrip_canonical():
 
 
 def test_unknown_dispatch_targets():
-    with pytest.raises(ValueError):
-        epoly_arith(ONE, ONE, "div")
-    with pytest.raises(ValueError):
-        specialize(ONE, "hodge")
+    # operations outside the ring are rejected, not approximated
+    with pytest.raises(TypeError):
+        ONE / ONE
+    with pytest.raises(TypeError):
+        ONE + 0.5
     with pytest.raises(ValueError):
         ONE ** -1
 

@@ -19,7 +19,6 @@ from hyperquot.formulas import (
     genus0_closed_form,
     motivic_partition_function,
     poincare_series,
-    unnested_partition_function,
 )
 from hyperquot.qseries import MSeries, Window, zero_series
 
@@ -62,7 +61,6 @@ def test_rank_one_no_quotient_rank_is_zeta():
         window = Window((0,), (5,))
         series = motivic_partition_function(curve, bundle, profile, window)
         assert series == zeta_eval(g, 0, (1,), window)
-        assert series == unnested_partition_function(curve, bundle, 0, window)
 
 
 def test_negative_degree_window():
@@ -101,13 +99,16 @@ def test_prefactor_shift_scales_with_quotient_rank():
 
 
 def test_unnested_matches_general():
+    # single-step profiles: quotients of one fixed rank
+    from hyperquot.oracle import oracle_partition_function
+
     curve = CurveSpec(1)
     bundle = BundleSpec((0, 1, -1))
     window = Window((-1,), (2,))
     for s in (0, 1, 2, 3):
         profile = NestingProfile(3, (s,))
-        assert unnested_partition_function(curve, bundle, s, window) == \
-            motivic_partition_function(curve, bundle, profile, window)
+        assert motivic_partition_function(curve, bundle, profile, window) == \
+            oracle_partition_function(curve, bundle, profile, window)
 
 
 def test_genus0_closed_form_rank_two():

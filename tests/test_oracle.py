@@ -10,8 +10,12 @@ from hyperquot.combinat import (
     flag_dimension,
 )
 from hyperquot.curve_motives import sym_class
-from hyperquot.epoly import EPoly, flag_motive
-from hyperquot.formulas import default_lower_bounds, motivic_partition_function
+from hyperquot.epoly import EPoly, euler_number, flag_motive
+from hyperquot.formulas import (
+    default_lower_bounds,
+    fixed_component_counts,
+    motivic_partition_function,
+)
 from hyperquot.oracle import (
     bb_stratum_dimension,
     enumerate_fixed_components,
@@ -144,6 +148,11 @@ def test_against_formula_spot_checks():
         (1, (0, 2), (2,), (3,)),
         (2, (-1, 0, 1), (1, 2), (1, 1)),
         (3, (0, 0), (1, 1), (2, 2)),
+        # rank 4 is the first rank where block permutations share a zeta
+        # factor multiset: 6 permutations fall into 5 groups
+        (1, (0, 1, 2, 3), (2,), (5,)),
+        # here the two permutations of the shared group have distinct shifts
+        (2, (-2, 0, 1, 2), (2,), (3,)),
     ]
     for g, degrees, s, hi in cases:
         curve = CurveSpec(g)
@@ -152,3 +161,20 @@ def test_against_formula_spot_checks():
         window = Window(default_lower_bounds(bundle, profile), hi)
         assert oracle_partition_function(curve, bundle, profile, window) == \
             motivic_partition_function(curve, bundle, profile, window)
+
+
+def test_fixed_component_counts_match_enumeration():
+    for r in range(1, 5):
+        for l in range(1, 4):
+            for s in itertools.combinations_with_replacement(range(r + 1), l):
+                profile = NestingProfile(r, s)
+                bundle = BundleSpec(tuple((3 * k + r + l) % 5 - 2 for k in range(r)))
+                lo = default_lower_bounds(bundle, profile)
+                hi = tuple(a + 2 for a in lo)
+                for window in (Window(lo, hi), Window(tuple(a - 2 for a in lo), hi)):
+                    counts = {}
+                    for sigma in block_permutations(profile):
+                        for comp in enumerate_fixed_components(sigma, bundle, profile, window):
+                            counts[comp.degree] = counts.get(comp.degree, 0) + 1
+                    series = fixed_component_counts(bundle, profile, window)
+                    assert {d: euler_number(c) for d, c in series.items()} == counts
