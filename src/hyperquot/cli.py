@@ -1,6 +1,10 @@
 """Command-line surface: compute series, run verification suites, report
 fixed-locus statistics.  Exit codes: 0 success / suite passed, 1 suite
-failed, 2 invalid input.
+failed, 2 invalid input, 3 internal error (traceback on stderr).
+
+The parsed arguments are the run's configuration: ``main`` turns the
+integer-list flags into tuples on the argparse namespace and hands it to
+the command.
 """
 
 from __future__ import annotations
@@ -9,7 +13,7 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
+import traceback
 
 from .combinat import (
     BundleSpec,
@@ -23,7 +27,6 @@ from .combinat import (
 )
 from .curve_motives import InvalidTuple, zeta_rationality_check
 from .epoly import (
-    ONE,
     EPoly,
     NegativeExponent,
     chi_y_polynomial,
@@ -40,39 +43,23 @@ from .formulas import (
     motivic_partition_function,
 )
 from .oracle import oracle_partition_function
-from .qseries import MSeries, Window, WindowMismatch, series_to_json, shift_rewindow
+from .qseries import MSeries, Window, WindowMismatch, series_to_json
 from .smoothness import SmoothnessVerdict, smoothness_status
 
 SUITES = ("oracle", "genus0", "euler_spec", "lemma_h", "duality", "zeta_rat", "b0")
-REALIZATIONS = ("motivic", "euler", "poincare", "chi_y")
-
-
-@dataclass
-class RunConfig:
-    genus: int | None = None
-    degrees: tuple[int, ...] | None = None
-    s: tuple[int, ...] | None = None
-    dmax: tuple[int, ...] | None = None
-    dmin: tuple[int, ...] | None = None
-    realization: str = "motivic"
-    format: str = "text"
-    parallel: bool = False
-    assume_smooth: bool = False
-    suite: str | None = None
-
-    def to_json(self) -> dict:
-        return {
-            "genus": self.genus,
-            "degrees": list(self.degrees) if self.degrees is not None else None,
-            "s": list(self.s) if self.s is not None else None,
-            "dmin": list(self.dmin) if self.dmin is not None else None,
-            "dmax": list(self.dmax) if self.dmax is not None else None,
-            "realization": self.realization,
-            "format": self.format,
-            "parallel": self.parallel,
-            "assume_smooth": self.assume_smooth,
-            "suite": self.suite,
-        }
+# Each realization's coefficient specialization and its variable; motivic
+# and Euler series keep their E-polynomial coefficients.
+REALIZATIONS = {
+    "motivic": None,
+    "euler": None,
+    "poincare": (poincare_polynomial, "z"),
+    "chi_y": (chi_y_polynomial, "y"),
+}
+# The echoed ``config`` block of a JSON report, in this key order.
+CONFIG_KEYS = (
+    "genus", "degrees", "s", "dmin", "dmax",
+    "realization", "format", "parallel", "assume_smooth", "suite",
+)
 
 
 class InputError(ValueError):
@@ -86,20 +73,23 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         raise InputError(f"expected comma-separated integers, got {text!r}") from exc
 
 
-def _require(config: RunConfig, *fields: str):
+def _require(config: argparse.Namespace, *fields: str):
     for name in fields:
         if getattr(config, name) is None:
             raise InputError(f"--{name.replace('_', '-')} is required here")
 
 
-def _build_geometry(config: RunConfig):
+def _geometry(config: argparse.Namespace):
     curve = CurveSpec(config.genus)
     bundle = BundleSpec(config.degrees)
     profile = NestingProfile(bundle.rank, config.s)
     return curve, bundle, profile
 
 
-def _build_window(config: RunConfig, bundle: BundleSpec, profile: NestingProfile) -> Window:
+def _setup(config: argparse.Namespace):
+    """Curve, bundle, profile and window of a windowed command."""
+    _require(config, "genus", "degrees", "s", "dmax")
+    curve, bundle, profile = _geometry(config)
     l = profile.length
     if len(config.dmax) != l:
         raise InputError(f"--dmax needs {l} entries, got {len(config.dmax)}")
@@ -108,10 +98,10 @@ def _build_window(config: RunConfig, bundle: BundleSpec, profile: NestingProfile
         raise InputError(f"--dmin needs {l} entries, got {len(lo)}")
     if any(a > b for a, b in zip(lo, config.dmax)):
         raise InputError(f"empty window: lo={lo}, hi={config.dmax}")
-    return Window(lo, config.dmax)
+    return curve, bundle, profile, Window(lo, config.dmax)
 
 
-def _verdict(config: RunConfig, curve, bundle, profile) -> SmoothnessVerdict:
+def _verdict(config: argparse.Namespace, curve, bundle, profile) -> SmoothnessVerdict:
     if config.assume_smooth:
         return SmoothnessVerdict("Smooth", "assumed by flag")
     return smoothness_status(curve, bundle, profile)
@@ -142,74 +132,72 @@ def specialized_series_from_json(data: dict) -> dict:
     }
 
 
-def _emit(config: RunConfig, verdict: SmoothnessVerdict, result: dict, text_lines: list[str]) -> None:
+def _header(profile: NestingProfile) -> list[str]:
+    return [
+        f"profile: r={profile.rank}, s={profile.s}, coranks={profile.coranks}",
+        f"block permutations: {len(block_permutations(profile))}",
+        f"flag dimension: {flag_dimension(profile)}",
+    ]
+
+
+def _emit(config: argparse.Namespace, verdict: SmoothnessVerdict, result, text_lines) -> None:
+    """Print the report in the requested format.  ``result`` and
+    ``text_lines`` are thunks, and only the one for ``--format`` runs.  The
+    report is built whole before printing, so a rendering error (a Laurent
+    coefficient under ``poincare``) leaves stdout empty."""
     if config.format == "json":
         doc = {
-            "config": config.to_json(),
+            "config": {key: getattr(config, key) for key in CONFIG_KEYS},
             "smoothness": {"status": verdict.status, "reason": verdict.reason},
-            "result": result,
+            "result": result(),
         }
-        print(json.dumps(doc, indent=2))
+        out = json.dumps(doc, indent=2)
     else:
-        print(f"smoothness: {verdict.status} ({verdict.reason})")
-        for line in text_lines:
-            print(line)
+        out = "\n".join([f"smoothness: {verdict.status} ({verdict.reason})", *text_lines()])
+    print(out)
 
 
 # -- compute ------------------------------------------------------------------
 
 
-def cmd_compute(config: RunConfig) -> int:
-    _require(config, "genus", "degrees", "s", "dmax")
-    curve, bundle, profile = _build_geometry(config)
-    window = _build_window(config, bundle, profile)
+def cmd_compute(config: argparse.Namespace) -> int:
+    curve, bundle, profile, window = _setup(config)
     verdict = _verdict(config, curve, bundle, profile)
-    perms = block_permutations(profile)
-
     if config.realization == "euler":
         series = euler_partition_function(curve, bundle, profile, window)
-        support = [d for d, _ in series.items()]
     else:
         series = motivic_partition_function(
             curve, bundle, profile, window, parallel=config.parallel
         )
-        support = [d for d, _ in series.items()]
-
-    if config.realization in ("motivic", "euler"):
-        series_json = series_to_json(series)
-        coeff_text = [(d, format_epoly(c)) for d, c in series.items()]
-    elif config.realization == "poincare":
-        series_json = _specialized_series_json(series, poincare_polynomial, "z")
-        coeff_text = [
-            (d, format_upoly(poincare_polynomial(c), "z")) for d, c in series.items()
-        ]
-    else:
-        series_json = _specialized_series_json(series, chi_y_polynomial, "y")
-        coeff_text = [
-            (d, format_upoly(chi_y_polynomial(c), "y")) for d, c in series.items()
-        ]
-
+    spec = REALIZATIONS[config.realization]
     vd_table = [
         {"d": list(d), "vd": virtual_dimension(profile, d, curve.genus, bundle.total_degree)}
-        for d in support
+        for d, _ in series.items()
     ]
-    result = {
-        "realization": config.realization,
-        "flag_dimension": flag_dimension(profile),
-        "block_permutation_count": len(perms),
-        "virtual_dimensions": vd_table,
-        "series": series_json,
-    }
-    lines = [
-        f"profile: r={profile.rank}, s={profile.s}, coranks={profile.coranks}",
-        f"block permutations: {len(perms)}",
-        f"flag dimension: {flag_dimension(profile)}",
-        f"window: lo={window.lo}, hi={window.hi}",
-        f"series ({config.realization}):",
-    ]
-    lines += [f"  d={d}: {text}" for d, text in coeff_text]
-    lines.append("virtual dimensions:")
-    lines += [f"  d={tuple(row['d'])}: {row['vd']}" for row in vd_table]
+
+    def result() -> dict:
+        return {
+            "realization": config.realization,
+            "flag_dimension": flag_dimension(profile),
+            "block_permutation_count": len(block_permutations(profile)),
+            "virtual_dimensions": vd_table,
+            "series": series_to_json(series) if spec is None
+            else _specialized_series_json(series, *spec),
+        }
+
+    def lines() -> list[str]:
+        def text(c: EPoly) -> str:
+            return format_epoly(c) if spec is None else format_upoly(spec[0](c), spec[1])
+
+        return [
+            *_header(profile),
+            f"window: lo={window.lo}, hi={window.hi}",
+            f"series ({config.realization}):",
+            *(f"  d={d}: {text(c)}" for d, c in series.items()),
+            "virtual dimensions:",
+            *(f"  d={tuple(row['d'])}: {row['vd']}" for row in vd_table),
+        ]
+
     _emit(config, verdict, result, lines)
     return 0
 
@@ -232,34 +220,17 @@ def _series_mismatch(lhs: MSeries, rhs: MSeries, lhs_name: str, rhs_name: str):
     return {"detail": "windows differ"}
 
 
-def _genus0_series(config: RunConfig, profile: NestingProfile, window: Window) -> MSeries:
-    """The genus-0 product form of a bundle O(c)^r: the free-bundle series
-    shifted by c * s into the window."""
-    if config.genus != 0:
-        raise InputError(f"suite {config.suite} needs --genus 0")
-    degs = set(config.degrees)
-    if len(degs) != 1:
-        raise InputError("this suite needs all summand degrees equal")
-    c = degs.pop()
-    shift = tuple(c * x for x in profile.s)
-    inner = Window(
-        tuple(a - t for a, t in zip(window.lo, shift)),
-        tuple(b - t for b, t in zip(window.hi, shift)),
-    )
-    return shift_rewindow(genus0_closed_form(profile, inner), shift, ONE, window)
-
-
-def cmd_verify(config: RunConfig) -> int:
+def cmd_verify(config: argparse.Namespace) -> int:
     suite = config.suite
     checked = 0
     mismatch = None
 
     if suite == "zeta_rat":
         _require(config, "genus")
-        order = 2 * config.genus + 10
-        checked = order - 2 * config.genus
-        if not zeta_rationality_check(config.genus, order):
-            mismatch = {"detail": f"numerator degree exceeds {2 * config.genus}"}
+        g = CurveSpec(config.genus).genus
+        checked = 10  # numerator coefficients 2g+1 .. 2g+10
+        if not zeta_rationality_check(g, 2 * g + 10):
+            mismatch = {"detail": f"numerator degree exceeds {2 * g}"}
     elif suite == "lemma_h":
         _require(config, "degrees", "s")
         profile = NestingProfile(len(config.degrees), config.s)
@@ -267,83 +238,67 @@ def cmd_verify(config: RunConfig) -> int:
         if not stratum_weight_identity(profile):
             mismatch = {"detail": "telescoped stratum weights disagree with zeta exponents"}
     else:
-        _require(config, "genus", "degrees", "s", "dmax")
-        curve, bundle, profile = _build_geometry(config)
-        window = _build_window(config, bundle, profile)
-        if suite == "oracle":
-            lhs = motivic_partition_function(
-                curve, bundle, profile, window, parallel=config.parallel
-            )
-            rhs = oracle_partition_function(curve, bundle, profile, window)
-            checked = len(list(window.cells()))
-            mismatch = _series_mismatch(lhs, rhs, "formula", "enumeration")
-        elif suite == "genus0":
-            rhs = _genus0_series(config, profile, window)
-            lhs = motivic_partition_function(
-                curve, bundle, profile, window, parallel=config.parallel
-            )
-            checked = len(list(window.cells()))
-            mismatch = _series_mismatch(lhs, rhs, "fixed_locus_sum", "product_form")
-        elif suite == "euler_spec":
-            motivic = motivic_partition_function(
-                curve, bundle, profile, window, parallel=config.parallel
-            )
-            lhs = MSeries(
-                window,
-                {d: EPoly.from_int(euler_number(c)) for d, c in motivic.coeffs.items()},
-            )
-            rhs = euler_partition_function(curve, bundle, profile, window)
-            checked = len(list(window.cells()))
-            mismatch = _series_mismatch(lhs, rhs, "specialized", "euler_series")
-        elif suite == "duality":
-            verdict = _verdict(config, curve, bundle, profile)
-            if not verdict.is_smooth:
-                raise InputError(
-                    "suite duality needs a Smooth verdict or --assume-smooth"
-                )
-            series = motivic_partition_function(
-                curve, bundle, profile, window, parallel=config.parallel
-            )
+        curve, bundle, profile, window = _setup(config)
+        if suite in ("genus0", "b0"):
+            if config.genus != 0:
+                raise InputError(f"suite {suite} needs --genus 0")
+            if bundle.max_gap:
+                raise InputError("this suite needs all summand degrees equal")
+            product = genus0_closed_form(bundle, profile, window)
+        if suite == "duality" and not _verdict(config, curve, bundle, profile).is_smooth:
+            raise InputError("suite duality needs a Smooth verdict or --assume-smooth")
+        series = product if suite == "b0" else motivic_partition_function(
+            curve, bundle, profile, window, parallel=config.parallel
+        )
+        if suite in ("duality", "b0"):
             for d, c in series.items():
                 checked += 1
-                vd = virtual_dimension(profile, d, curve.genus, bundle.total_degree)
-                if c.top_degree() != vd or c.reversal(vd) != c:
-                    mismatch = {
-                        "d": list(d),
-                        "coefficient": format_epoly(c),
-                        "virtual_dimension": vd,
-                    }
-                    break
-        elif suite == "b0":
-            for d, c in _genus0_series(config, profile, window).items():
-                checked += 1
-                b0 = poincare_polynomial(c).get(0, 0)
-                if b0 != 1:
-                    mismatch = {"d": list(d), "b0": b0}
+                if suite == "b0":
+                    b0 = poincare_polynomial(c).get(0, 0)
+                    if b0 != 1:
+                        mismatch = {"d": list(d), "b0": b0}
+                else:
+                    vd = virtual_dimension(profile, d, curve.genus, bundle.total_degree)
+                    if c.top_degree() != vd or c.reversal(vd) != c:
+                        mismatch = {
+                            "d": list(d),
+                            "coefficient": format_epoly(c),
+                            "virtual_dimension": vd,
+                        }
+                if mismatch:
                     break
         else:
-            raise InputError(f"unknown suite {suite!r}")
+            checked = len(list(window.cells()))
+            if suite == "oracle":
+                rhs = oracle_partition_function(curve, bundle, profile, window)
+                mismatch = _series_mismatch(series, rhs, "formula", "enumeration")
+            elif suite == "genus0":
+                mismatch = _series_mismatch(series, product, "fixed_locus_sum", "product_form")
+            else:
+                lhs = MSeries(
+                    window,
+                    {d: EPoly.from_int(euler_number(c)) for d, c in series.coeffs.items()},
+                )
+                rhs = euler_partition_function(curve, bundle, profile, window)
+                mismatch = _series_mismatch(lhs, rhs, "specialized", "euler_series")
 
     passed = mismatch is None
     result = {"suite": suite, "passed": passed, "checked": checked, "mismatch": mismatch}
     verdict = SmoothnessVerdict("Unknown", "not evaluated")
     if config.genus is not None and config.degrees is not None and config.s is not None:
-        curve, bundle, profile = _build_geometry(config)
-        verdict = _verdict(config, curve, bundle, profile)
+        verdict = _verdict(config, *_geometry(config))
     lines = [f"suite {suite}: {'PASS' if passed else 'FAIL'} ({checked} checks)"]
     if mismatch:
         lines.append(f"first discrepancy: {mismatch}")
-    _emit(config, verdict, result, lines)
+    _emit(config, verdict, lambda: result, lambda: lines)
     return 0 if passed else 1
 
 
 # -- info ----------------------------------------------------------------------
 
 
-def cmd_info(config: RunConfig) -> int:
-    _require(config, "genus", "degrees", "s", "dmax")
-    curve, bundle, profile = _build_geometry(config)
-    window = _build_window(config, bundle, profile)
+def cmd_info(config: argparse.Namespace) -> int:
+    curve, bundle, profile, window = _setup(config)
     verdict = _verdict(config, curve, bundle, profile)
     counts = fixed_component_counts(bundle, profile, window)
     table = [
@@ -354,23 +309,19 @@ def cmd_info(config: RunConfig) -> int:
         }
         for d in window.cells()
     ]
+    perms = block_permutations(profile)
     result = {
         "flag_dimension": flag_dimension(profile),
-        "block_permutation_count": len(block_permutations(profile)),
-        "block_permutations": [list(s.values) for s in block_permutations(profile)],
+        "block_permutation_count": len(perms),
+        "block_permutations": [list(s.values) for s in perms],
         "table": table,
     }
-    lines = [
-        f"profile: r={profile.rank}, s={profile.s}, coranks={profile.coranks}",
-        f"block permutations: {result['block_permutation_count']}",
-        f"flag dimension: {result['flag_dimension']}",
-        "d / virtual dimension / fixed components:",
-    ]
+    lines = _header(profile) + ["d / virtual dimension / fixed components:"]
     lines += [
         f"  d={tuple(row['d'])}: vd={row['vd']}, components={row['fixed_components']}"
         for row in table
     ]
-    _emit(config, verdict, result, lines)
+    _emit(config, verdict, lambda: result, lambda: lines)
     return 0
 
 
@@ -384,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, with_realization: bool):
+    def common(p: argparse.ArgumentParser) -> argparse.ArgumentParser:
         p.add_argument("--genus", type=int, help="genus of the curve")
         p.add_argument("--degrees", type=str, help="comma-separated summand degrees")
         p.add_argument("--s", type=str, help="comma-separated quotient ranks")
@@ -393,30 +344,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--parallel", action="store_true")
         p.add_argument("--assume-smooth", action="store_true", dest="assume_smooth")
-        if with_realization:
-            p.add_argument("--realization", choices=REALIZATIONS, default="motivic")
+        p.set_defaults(realization="motivic", suite=None)
+        return p
 
-    common(sub.add_parser("compute", help="compute a partition function"), True)
-    v = sub.add_parser("verify", help="run a cross-check suite")
-    common(v, False)
-    v.add_argument("--suite", choices=SUITES, required=True)
-    common(sub.add_parser("info", help="dimensions and fixed-locus statistics"), False)
+    compute = common(sub.add_parser("compute", help="compute a partition function"))
+    compute.add_argument("--realization", choices=REALIZATIONS, default="motivic")
+    verify = common(sub.add_parser("verify", help="run a cross-check suite"))
+    verify.add_argument("--suite", choices=SUITES, required=True)
+    common(sub.add_parser("info", help="dimensions and fixed-locus statistics"))
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        genus=args.genus,
-        degrees=_parse_int_list(args.degrees) if args.degrees is not None else None,
-        s=_parse_int_list(args.s) if args.s is not None else None,
-        dmax=_parse_int_list(args.dmax) if args.dmax is not None else None,
-        dmin=_parse_int_list(args.dmin) if args.dmin is not None else None,
-        realization=getattr(args, "realization", "motivic"),
-        format=args.format,
-        parallel=args.parallel,
-        assume_smooth=args.assume_smooth,
-        suite=getattr(args, "suite", None),
-    )
 
 
 _VALUE_FLAGS = {"--genus", "--degrees", "--s", "--dmax", "--dmin"}
@@ -444,18 +380,22 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(_normalize_argv(list(argv)))
+    config = parser.parse_args(_normalize_argv(list(argv)))
     try:
-        config = _config_from_args(args)
-        if args.command == "compute":
+        for name in ("degrees", "s", "dmax", "dmin"):
+            if getattr(config, name) is not None:
+                setattr(config, name, _parse_int_list(getattr(config, name)))
+        if config.command == "compute":
             return cmd_compute(config)
-        if args.command == "verify":
+        if config.command == "verify":
             return cmd_verify(config)
         return cmd_info(config)
-    except (InputError, InvalidProfile, InvalidTuple, WindowMismatch,
-            NegativeExponent, ValueError) as exc:
+    except (InputError, InvalidProfile, InvalidTuple, WindowMismatch, NegativeExponent) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

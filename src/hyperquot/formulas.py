@@ -7,7 +7,8 @@ Four generating functions over the multidegree lattice:
   evaluations; valid as a motivic identity whenever the hyperquot scheme is
   smooth and unobstructed, and well defined as a formal series always.
 * ``genus0_closed_form`` -- the product formula for the projective line
-  with the free bundle: the flag-variety class times geometric factors.
+  with the bundle O(c)**r: the flag-variety class times geometric factors,
+  shifted by the twist.
 * ``euler_partition_function`` -- the Euler-characteristic series, valid
   with no smoothness assumption.
 * ``fixed_component_counts`` -- the number of torus-fixed components at
@@ -32,7 +33,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from .combinat import BundleSpec, CurveSpec, NestingProfile, block_permutations
 from .curve_motives import zeta_divide
-from .epoly import ONE, EPoly, flag_motive, lefschetz_power, poincare_polynomial
+from .epoly import ONE, EPoly, flag_motive, lefschetz_power
 from .qseries import (
     MSeries,
     Window,
@@ -158,18 +159,21 @@ def motivic_partition_function(
     return _evaluate(dict(groups.values()), g, window, parallel)
 
 
-def genus0_closed_form(profile: NestingProfile, window: Window) -> MSeries:
-    """Partition function of the free rank-r bundle on the projective line:
+def genus0_closed_form(bundle: BundleSpec, profile: NestingProfile, window: Window) -> MSeries:
+    """Partition function of O(c)**r on the projective line: q**(c s) times
     the flag-variety class divided by the product of
     (1 - L**(r_i - alpha) q_i..q_j)(1 - L**(r_{i-1} - alpha + 1) q_i..q_j)
-    over 1 <= i <= j <= l and alpha in block j."""
-    _check_shape(profile, window=window)
+    over 1 <= i <= j <= l and alpha in block j.  Twisting every summand by
+    O(c) shifts the degree of a rank-s_j quotient by c s_j."""
+    _check_shape(profile, bundle, window)
+    if bundle.max_gap:
+        raise ValueError(f"the product form needs equal summand degrees, got {bundle.degrees}")
     factors = []
     for i, _j, alpha, m in _slots(profile):
         factors.append(("geometric", profile.corank(i) - alpha, m))
         factors.append(("geometric", profile.corank(i - 1) - alpha + 1, m))
-    zero = (0,) * profile.length
-    return _evaluate({tuple(factors): [(zero, flag_motive(profile))]}, 0, window)
+    shift = tuple(bundle.degrees[0] * x for x in profile.s)
+    return _evaluate({tuple(factors): [(shift, flag_motive(profile))]}, 0, window)
 
 
 def euler_partition_function(
@@ -203,9 +207,3 @@ def fixed_component_counts(
     factors = tuple(("geometric", 0, m) for *_, m in _slots(profile))
     return _evaluate({factors: _prefactor_terms(bundle, profile)}, 0, window)
 
-
-def poincare_series(a: MSeries) -> dict[tuple[int, ...], dict[int, int]]:
-    """Coefficientwise Poincare polynomials; the z-constant term of each
-    value is the zeroth Betti number.  Raises NegativeExponent on Laurent
-    coefficients."""
-    return {d: poincare_polynomial(c) for d, c in a.items()}

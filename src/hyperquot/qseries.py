@@ -177,14 +177,6 @@ class MSeries:
         return f"MSeries(window={self.window.lo}..{self.window.hi}, {n} terms)"
 
 
-def series_arith(a: MSeries, b: MSeries, op: str) -> MSeries:
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
-
-
 def zero_series(window: Window) -> MSeries:
     return MSeries(window)
 

@@ -32,7 +32,6 @@ from hyperquot.formulas import (
     euler_partition_function,
     genus0_closed_form,
     motivic_partition_function,
-    poincare_series,
 )
 from hyperquot.oracle import oracle_partition_function
 from hyperquot.qseries import MSeries, Window
@@ -115,7 +114,7 @@ def test_criterion_02_genus0_closed_form():
             curve = CurveSpec(0)
             bundle = BundleSpec((0,) * profile.rank)
             lhs = motivic_partition_function(curve, bundle, profile, window)
-            rhs = genus0_closed_form(profile, window)
+            rhs = genus0_closed_form(bundle, profile, window)
             assert lhs == rhs, f"s={profile.s} r={profile.rank}"
             count += 1
         payload["note"] = f", {count} profiles"
@@ -125,7 +124,7 @@ def test_criterion_03_known_small_motive():
     with criterion(3, "rank-2 coefficient is a projective space"):
         profile = NestingProfile(2, (1,))
         window = Window((0,), (6,))
-        series = genus0_closed_form(profile, window)
+        series = genus0_closed_form(BundleSpec((0, 0)), profile, window)
         for d in range(7):
             expected = EPoly({(k, k): 1 for k in range(2 * d + 2)})
             assert series.coefficient((d,)) == expected
@@ -159,9 +158,9 @@ def test_criterion_06_irreducibility():
         count = 0
         for profile in profiles(4, 3):
             window = Window((0,) * profile.length, hi_for[profile.length])
-            series = genus0_closed_form(profile, window)
-            for d, upoly in poincare_series(series).items():
-                assert upoly.get(0, 0) == 1, f"s={profile.s} d={d}"
+            series = genus0_closed_form(BundleSpec((0,) * profile.rank), profile, window)
+            for d, c in series.items():
+                assert poincare_polynomial(c).get(0, 0) == 1, f"s={profile.s} d={d}"
                 count += 1
         payload["note"] = f", {count} coefficients"
 

@@ -4,9 +4,10 @@ import json
 
 import pytest
 
+from hyperquot import cli
 from hyperquot.cli import main, specialized_series_from_json
 from hyperquot.epoly import EPoly
-from hyperquot.qseries import series_from_json
+from hyperquot.qseries import series_from_json, series_monomial
 
 
 def run(capsys, *args):
@@ -86,6 +87,7 @@ def test_laurent_specialization_exit_code(capsys):
     )
     assert code == 2
     assert "exponent" in err
+    assert out == ""
 
 
 @pytest.mark.parametrize(
@@ -111,9 +113,107 @@ def test_verify_duality_requires_certificate(capsys):
             "--s", "1", "--dmax", "2"]
     code, out, err = run(capsys, *args)
     assert code == 2
-    code, out, err = run(capsys, *args, "--assume-smooth")
     # assumed smooth lets it run; the obstructed case genuinely fails duality
-    assert code in (0, 1)
+    mismatch = {"d": [0], "coefficient": "L^-1 + 1", "virtual_dimension": -1}
+    code, out, err = run(capsys, *args, "--assume-smooth")
+    assert code == 1
+    assert f"first discrepancy: {mismatch}" in out
+    code, doc = run_json(capsys, *args, "--assume-smooth")
+    assert code == 1
+    assert doc["result"]["mismatch"] == mismatch
+
+
+def _wrong_series(*args):
+    """Stand-in for a right-hand side: 2 at the lowest degree of the window
+    (the last argument), nothing elsewhere."""
+    window = args[-1]
+    return series_monomial(window, window.lo, 2)
+
+
+@pytest.mark.parametrize(
+    "suite,target,wrong,extra,keys",
+    [
+        ("oracle", "oracle_partition_function", _wrong_series,
+         ["--genus", "1", "--degrees", "0,1", "--s", "1", "--dmax", "2"],
+         {"d", "formula", "enumeration"}),
+        ("genus0", "genus0_closed_form", _wrong_series,
+         ["--genus", "0", "--degrees", "0,0", "--s", "1", "--dmax", "2"],
+         {"d", "fixed_locus_sum", "product_form"}),
+        ("euler_spec", "euler_partition_function", _wrong_series,
+         ["--genus", "1", "--degrees", "0,2", "--s", "1", "--dmax", "3"],
+         {"d", "specialized", "euler_series"}),
+        ("b0", "genus0_closed_form", _wrong_series,
+         ["--genus", "0", "--degrees", "0,0,0", "--s", "2", "--dmax", "2"],
+         {"d", "b0"}),
+        ("zeta_rat", "zeta_rationality_check", lambda *a: False, ["--genus", "2"],
+         {"detail"}),
+        ("lemma_h", "stratum_weight_identity", lambda *a: False,
+         ["--degrees", "0,0,0", "--s", "1,2"], {"detail"}),
+    ],
+)
+def test_verify_suites_fail(capsys, monkeypatch, suite, target, wrong, extra, keys):
+    monkeypatch.setattr(cli, target, wrong)
+    code, doc = run_json(capsys, "verify", "--suite", suite, *extra)
+    assert code == 1
+    assert doc["result"]["passed"] is False
+    assert set(doc["result"]["mismatch"]) == keys
+    code, out, err = run(capsys, "verify", "--suite", suite, *extra)
+    assert code == 1
+    assert f"suite {suite}: FAIL" in out
+    assert "first discrepancy: " in out
+
+
+def test_zeta_rat_rejects_negative_genus(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "zeta_rat", "--genus", "-1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_verify_checks_the_geometry_it_is_given(capsys):
+    # zeta_rat needs only --genus, but a given bundle and profile must be valid
+    code, out, err = run(
+        capsys, "verify", "--suite", "zeta_rat", "--genus", "1", "--degrees", "0,0",
+        "--s", "3",
+    )
+    assert code == 2
+    assert out == ""
+
+
+def test_internal_error_exit_code(capsys, monkeypatch):
+    # a crash is exit 3, never the "suite failed" 1 nor the "invalid input" 2
+    def broken(*args, **kwargs):
+        raise ValueError("internal")
+
+    monkeypatch.setattr(cli, "motivic_partition_function", broken)
+    code, out, err = run(
+        capsys, "compute", "--genus", "0", "--degrees", "0,0", "--s", "1", "--dmax", "1",
+    )
+    assert code == 3
+    assert out == ""
+    assert "Traceback" in err and "ValueError: internal" in err
+
+
+def _refuse(*args, **kwargs):
+    raise RuntimeError("rendered a format that was not asked for")
+
+
+@pytest.mark.parametrize("realization", ["motivic", "euler", "poincare", "chi_y"])
+def test_compute_renders_only_the_requested_format(capsys, monkeypatch, realization):
+    args = ["compute", "--genus", "0", "--degrees", "0,1", "--s", "1", "--dmax", "2",
+            "--realization", realization]
+    with monkeypatch.context() as m:
+        m.setattr(cli, "format_epoly", _refuse)
+        m.setattr(cli, "format_upoly", _refuse)
+        code, doc = run_json(capsys, *args)
+        assert code == 0
+        assert doc["result"]["series"]["terms"]
+    with monkeypatch.context() as m:
+        m.setattr(cli, "series_to_json", _refuse)
+        m.setattr(cli, "_specialized_series_json", _refuse)
+        code, out, err = run(capsys, *args)
+        assert code == 0, err
+        assert f"series ({realization}):" in out
 
 
 def test_verify_genus0_requires_equal_degrees(capsys):

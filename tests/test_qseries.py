@@ -16,7 +16,6 @@ from hyperquot.qseries import (
     geometric_inverse,
     multiply_sparse,
     one_series,
-    series_arith,
     series_from_json,
     series_monomial,
     series_to_json,
@@ -50,7 +49,7 @@ def test_mul_examples():
     w = Window((0,), (4,))
     one_plus = series_monomial(w, (0,), ONE) + series_monomial(w, (1,), ONE)
     one_minus = series_monomial(w, (0,), ONE) + series_monomial(w, (1,), EPoly.from_int(-1))
-    prod = series_arith(one_plus, one_minus, "mul")
+    prod = one_plus * one_minus
     assert prod.coefficient((0,)) == ONE
     assert prod.coefficient((1,)) == ZERO
     assert prod.coefficient((2,)) == EPoly.from_int(-1)
@@ -96,12 +95,6 @@ def test_window_mismatch():
         _ = a + b
     with pytest.raises(WindowMismatch):
         _ = a * b
-
-
-def test_series_arith_unknown_op():
-    a = one_series(Window((0,), (2,)))
-    with pytest.raises(ValueError):
-        series_arith(a, a, "pow")
 
 
 def test_restrict_coherence_direct_constructors():
