@@ -96,8 +96,6 @@ def _setup(config: argparse.Namespace):
     lo = config.dmin if config.dmin is not None else default_lower_bounds(bundle, profile)
     if len(lo) != l:
         raise InputError(f"--dmin needs {l} entries, got {len(lo)}")
-    if any(a > b for a, b in zip(lo, config.dmax)):
-        raise InputError(f"empty window: lo={lo}, hi={config.dmax}")
     return curve, bundle, profile, Window(lo, config.dmax)
 
 

@@ -14,6 +14,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .qseries import Window
 
 
 class InvalidProfile(ValueError):
@@ -243,6 +247,17 @@ def stratum_weight_identity(profile: NestingProfile) -> bool:
                     if lhs != sigma.zeta_exponent(i, j, alpha):
                         return False
     return True
+
+
+def check_shape(
+    profile: NestingProfile, bundle: BundleSpec | None = None, window: Window | None = None
+):
+    """Raise ValueError unless the bundle rank is the profile rank and the
+    window has one variable per quotient."""
+    if bundle is not None and bundle.rank != profile.rank:
+        raise ValueError(f"bundle rank {bundle.rank} != profile rank {profile.rank}")
+    if window is not None and window.arity != profile.length:
+        raise ValueError(f"window arity {window.arity} != profile length {profile.length}")
 
 
 def flag_dimension(profile: NestingProfile) -> int:

@@ -16,8 +16,7 @@ The classical specializations are fixed by three anchors:
 
 from __future__ import annotations
 
-import itertools
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Mapping
 
 if TYPE_CHECKING:
     from .combinat import NestingProfile
@@ -25,14 +24,6 @@ if TYPE_CHECKING:
 
 class NegativeExponent(ValueError):
     """A specialization was asked of a Laurent input with negative exponents."""
-
-
-class InvalidRange(ValueError):
-    """Grassmannian parameters outside 0 <= d <= r."""
-
-
-class InternalInconsistency(RuntimeError):
-    """An exact polynomial division left a remainder; indicates a bug."""
 
 
 class EPoly:
@@ -105,9 +96,6 @@ class EPoly:
     def __sub__(self, other) -> EPoly:
         return self + (-self._coerce(other))
 
-    def __rsub__(self, other) -> EPoly:
-        return self._coerce(other) + (-self)
-
     def __mul__(self, other) -> EPoly:
         other = self._coerce(other)
         a, b = self.terms, other.terms
@@ -142,18 +130,6 @@ class EPoly:
         return res
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> EPoly:
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("EPoly exponent must be a nonnegative integer")
-        result = ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
 
     def min_exponent(self) -> int | None:
         """Smallest exponent appearing in any variable; None for the zero polynomial."""
@@ -233,82 +209,20 @@ def chi_y_polynomial(a: EPoly) -> dict[int, int]:
     return out
 
 
-# -- quotients of products of (L**k - 1) ------------------------------------
-#
-# Grassmannian and flag classes are quotients of products of (L**k - 1).
-# These are polynomials in L alone, so the exact division is carried out on
-# univariate coefficient dictionaries keyed by L-degree.
-
-
-def _diag_coeffs(a: EPoly) -> dict[int, int]:
-    out = {}
-    for (pu, pv), c in a.terms.items():
-        if pu != pv:
-            raise InternalInconsistency("expected a polynomial in L = uv")
-        out[pu] = c
-    return out
-
-
-def _from_diag(coeffs: dict[int, int]) -> EPoly:
-    return EPoly({(k, k): c for k, c in coeffs.items()})
-
-def _lpow_minus_one_product(ks: Iterable[int]) -> dict[int, int]:
-    out = {0: 1}
-    for k in ks:
-        nxt: dict[int, int] = {}
-        for deg, c in out.items():
-            nxt[deg + k] = nxt.get(deg + k, 0) + c
-            nxt[deg] = nxt.get(deg, 0) - c
-        out = {d: c for d, c in nxt.items() if c}
-    return out
-
-
-def _exact_div(num: dict[int, int], den: dict[int, int]) -> dict[int, int]:
-    """Exact univariate division over the integers; raises on any remainder."""
-    num = dict(num)
-    quot: dict[int, int] = {}
-    dtop = max(den)
-    dlead = den[dtop]
-    while num:
-        ntop = max(num)
-        if ntop < dtop:
-            raise InternalInconsistency("inexact polynomial division")
-        q, rem = divmod(num[ntop], dlead)
-        if rem:
-            raise InternalInconsistency("inexact polynomial division")
-        quot[ntop - dtop] = q
-        for deg, c in den.items():
-            k = ntop - dtop + deg
-            s = num.get(k, 0) - q * c
-            if s:
-                num[k] = s
-            else:
-                num.pop(k, None)
-    return quot
-
-
-def grassmannian_motive(d: int, r: int) -> EPoly:
-    """Class of the Grassmannian of d-dimensional quotients of an
-    r-dimensional space: the Gaussian binomial in L."""
-    if d < 0 or d > r:
-        raise InvalidRange(f"need 0 <= d <= r, got d={d}, r={r}")
-    num = _lpow_minus_one_product(range(1, r + 1))
-    den = _lpow_minus_one_product(
-        itertools.chain(range(1, d + 1), range(1, r - d + 1))
-    )
-    return _from_diag(_exact_div(num, den))
-
-
 def flag_motive(profile: NestingProfile) -> EPoly:
     """Class of the partial flag variety attached to a nesting profile:
-    the Gaussian multinomial over the corank block sizes."""
-    r = profile.rank
-    num = _lpow_minus_one_product(range(1, r + 1))
-    sizes = profile.block_sizes()
-    den = _lpow_minus_one_product(
-        itertools.chain.from_iterable(range(1, b + 1) for b in sizes)
-    )
-    return _from_diag(_exact_div(num, den))
+    the Gaussian multinomial over the corank block sizes b_0..b_l, the
+    product over j of the Gaussian binomials [b_0 + ... + b_j, b_j].  Each
+    binomial is built row by row with the L-Pascal rule
+    [m, k] = [m - 1, k - 1] + L**k [m - 1, k]."""
+    cls, m = ONE, 0
+    for b in profile.block_sizes():
+        m += b
+        row = [ONE] + [ZERO] * b
+        for _ in range(m):
+            row = [ONE] + [row[k - 1] + lefschetz_power(k) * row[k] for k in range(1, b + 1)]
+        cls = cls * row[b]
+    return cls
 
 
 # -- formatting and JSON -----------------------------------------------------

@@ -29,9 +29,8 @@ for whether the motivic output is certified to equal the motive.
 from __future__ import annotations
 
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 
-from .combinat import BundleSpec, CurveSpec, NestingProfile, block_permutations
+from .combinat import BundleSpec, CurveSpec, NestingProfile, block_permutations, check_shape
 from .curve_motives import zeta_divide
 from .epoly import ONE, EPoly, flag_motive, lefschetz_power
 from .qseries import (
@@ -48,20 +47,11 @@ Factor = tuple[str, int, tuple[int, ...]]
 Formula = dict[tuple[Factor, ...], list[tuple[tuple[int, ...], EPoly]]]
 
 
-def _check_shape(
-    profile: NestingProfile, bundle: BundleSpec | None = None, window: Window | None = None
-):
-    if bundle is not None and bundle.rank != profile.rank:
-        raise ValueError(f"bundle rank {bundle.rank} != profile rank {profile.rank}")
-    if window is not None and window.arity != profile.length:
-        raise ValueError(f"window arity {window.arity} != profile length {profile.length}")
-
-
 def default_lower_bounds(bundle: BundleSpec, profile: NestingProfile) -> tuple[int, ...]:
     """Componentwise minimum over block permutations of the degree
     prefactors: at index j this is the sum of the s_j smallest degrees.
     No nonzero coefficient sits below these bounds."""
-    _check_shape(profile, bundle)
+    check_shape(profile, bundle)
     ordered = sorted(bundle.degrees)
     return tuple(sum(ordered[: profile.s[j - 1]]) for j in range(1, profile.length + 1))
 
@@ -129,6 +119,8 @@ def _evaluate(formula: Formula, genus: int, window: Window, parallel: bool = Fal
     reduction order irrelevant, so the parallel path is bit-identical."""
     args = [(genus, factors, terms, window) for factors, terms in formula.items()]
     if parallel and len(args) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor() as pool:
             parts = list(pool.map(_sigma_task, args))
     else:
@@ -146,7 +138,7 @@ def motivic_partition_function(
     """Sum over block permutations of the Lefschetz-weighted prefactor times
     the product of twisted zeta evaluations.  Block permutations with the
     same multiset of zeta factors share one product."""
-    _check_shape(profile, bundle, window)
+    check_shape(profile, bundle, window)
     g, degrees = curve.genus, bundle.degrees
     groups: dict[tuple[Factor, ...], tuple] = {}
     for sigma in block_permutations(profile):
@@ -165,7 +157,7 @@ def genus0_closed_form(bundle: BundleSpec, profile: NestingProfile, window: Wind
     (1 - L**(r_i - alpha) q_i..q_j)(1 - L**(r_{i-1} - alpha + 1) q_i..q_j)
     over 1 <= i <= j <= l and alpha in block j.  Twisting every summand by
     O(c) shifts the degree of a rank-s_j quotient by c s_j."""
-    _check_shape(profile, bundle, window)
+    check_shape(profile, bundle, window)
     if bundle.max_gap:
         raise ValueError(f"the product form needs equal summand degrees, got {bundle.degrees}")
     factors = []
@@ -185,7 +177,7 @@ def euler_partition_function(
     """Euler-characteristic series, valid with no smoothness assumption:
     the sum over block permutations of the prefactor monomials, times
     prod (1 - q_i..q_j)**((2g-2)(r_j - r_{j+1}))."""
-    _check_shape(profile, bundle, window)
+    check_shape(profile, bundle, window)
     l = profile.length
     factors = []
     for j in range(1, l + 1):
@@ -203,7 +195,7 @@ def fixed_component_counts(
     coefficients: the sum over block permutations of the prefactor
     monomials, times 1/(1 - q_i..q_j) per (i, j, alpha).  Each factor counts
     one step of a nondecreasing length tuple."""
-    _check_shape(profile, bundle, window)
+    check_shape(profile, bundle, window)
     factors = tuple(("geometric", 0, m) for *_, m in _slots(profile))
     return _evaluate({factors: _prefactor_terms(bundle, profile)}, 0, window)
 

@@ -19,6 +19,7 @@ from .combinat import (
     CurveSpec,
     NestingProfile,
     block_permutations,
+    check_shape,
 )
 from .curve_motives import nested_hilb_class
 from .epoly import EPoly, lefschetz_power
@@ -106,12 +107,7 @@ def oracle_partition_function(
     """Sum over all fixed components of
     L**(attracting-cell fiber dimension) * (product of nested Hilbert
     classes) * q**(derived multidegree)."""
-    if bundle.rank != profile.rank:
-        raise ValueError(
-            f"bundle rank {bundle.rank} != profile rank {profile.rank}"
-        )
-    if window.arity != profile.length:
-        raise ValueError(f"window arity {window.arity} != profile length {profile.length}")
+    check_shape(profile, bundle, window)
     acc: dict[tuple[int, ...], EPoly] = {}
     for sigma in block_permutations(profile):
         for comp in enumerate_fixed_components(sigma, bundle, profile, window):

@@ -134,15 +134,6 @@ class MSeries:
         res.coeffs = out
         return res
 
-    def __neg__(self) -> MSeries:
-        res = MSeries.__new__(MSeries)
-        res.window = self.window
-        res.coeffs = {d: -c for d, c in self.coeffs.items()}
-        return res
-
-    def __sub__(self, other: MSeries) -> MSeries:
-        return self + (-other)
-
     def __mul__(self, other: MSeries) -> MSeries:
         self._check_same_window(other)
         win = self.window

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .combinat import BundleSpec, CurveSpec, NestingProfile
+from .combinat import BundleSpec, CurveSpec, NestingProfile, check_shape
 
 SMOOTH = "Smooth"
 UNKNOWN = "Unknown"
@@ -36,10 +36,7 @@ class SmoothnessVerdict:
 def smoothness_status(
     curve: CurveSpec, bundle: BundleSpec, profile: NestingProfile
 ) -> SmoothnessVerdict:
-    if bundle.rank != profile.rank:
-        raise ValueError(
-            f"bundle rank {bundle.rank} != profile rank {profile.rank}"
-        )
+    check_shape(profile, bundle)
     if all(x == 0 for x in profile.s):
         return SmoothnessVerdict(SMOOTH, "zero-dimensional quotients")
     if curve.genus == 0 and bundle.max_gap <= 1:

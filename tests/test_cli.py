@@ -1,6 +1,10 @@
 """Command-line surface: exit codes, JSON round-trips, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -78,6 +82,14 @@ def test_bad_window_exit_code(capsys):
         "--dmax", "2,2",
     )
     assert code == 2
+    # an explicit lower bound above dmax, and a default one (the smallest
+    # degree, 2) above dmax
+    for extra, lo in [(["--degrees", "0,0", "--dmax", "1", "--dmin", "3"], "(3,)"),
+                      (["--degrees", "2,2", "--dmax", "1"], "(2,)")]:
+        code, out, err = run(capsys, "compute", "--genus", "0", "--s", "1", *extra)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: empty window: lo={lo}, hi=(1,)\n"
 
 
 def test_laurent_specialization_exit_code(capsys):
@@ -298,6 +310,17 @@ def test_parallel_json_byte_identical(capsys):
     # byte-identical apart from the echoed parallel flag
     doc1["config"]["parallel"] = True
     assert json.dumps(doc1) == json.dumps(doc2)
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # only --parallel with more than one group needs concurrent.futures
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = "import sys, hyperquot.cli; print('concurrent.futures' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "False"
 
 
 def test_compute_text_output(capsys):
