@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import threading
+from functools import lru_cache
 
 from .epoly import LEFSCHETZ, ONE, EPoly, lefschetz_power
 from .qseries import (
@@ -31,8 +32,10 @@ _sym_cache: dict[int, list[EPoly]] = {}
 _cache_lock = threading.Lock()
 
 
+@lru_cache(maxsize=None)
 def zeta_numerator(genus: int) -> tuple[EPoly, ...]:
-    """Coefficients of (1 - u t)**g (1 - v t)**g in t, degrees 0..2g."""
+    """Coefficients of (1 - u t)**g (1 - v t)**g in t, degrees 0..2g;
+    memoized per genus, like the symmetric-product classes."""
     out = []
     for k in range(2 * genus + 1):
         terms = {}

@@ -16,6 +16,8 @@ The classical specializations are fixed by three anchors:
 
 from __future__ import annotations
 
+import sys
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping
 
 if TYPE_CHECKING:
@@ -27,120 +29,193 @@ class NegativeExponent(ValueError):
 
 
 class EPoly:
-    """Sparse Laurent polynomial in u, v over the integers.
+    """Laurent polynomial in u, v over the integers, packed into one int.
 
-    Terms are stored as a mapping (u-exponent, v-exponent) -> coefficient
-    with no zero coefficients.  Instances are immutable by convention:
-    no method mutates ``terms`` after construction.
+    Layout (Kronecker substitution): the value sum c * u**a * v**b is
+
+        n = sum of c * 2**(K * ((a - ou) * W + (b - ov)))
+
+    with Laurent offsets ``ou``, ``ov`` at most the smallest exponents, a
+    v-stride ``W`` above every ``b - ov`` and a slot width ``K``, a multiple
+    of 8, with every ``|c| < 2**(K - 1)``: the coefficients are the balanced
+    base-2**K digits of n, so they decode uniquely.  A sum is one aligned
+    bigint add and a product one bigint multiply.  A monomial factor only
+    moves the offsets, and a factor with few terms (at most six, or fewer
+    than the square root of its slot count) is applied by shift-and-add
+    over its terms.
+
+    K and W come from bounds that travel with each value, exact for a value
+    built from its terms: ``vh`` >= every ``b - ov``, ``inf`` >= every
+    ``|c|`` and ``l1`` >= the sum of the ``|c|``.  A sum has
+    ``inf <= inf_a + inf_b`` and ``l1 <= l1_a + l1_b``; a product has
+    ``inf <= min(inf_a * l1_b, l1_a * inf_b)``, ``l1 <= l1_a * l1_b`` and
+    ``vh <= vh_a + vh_b``.  A result keeps the wider of its operands' K and
+    W, widening K to the next multiple of 8 above the bit length of ``inf``
+    or W to the next power of two above ``vh`` only when a bound needs it;
+    an operand in a narrower layout is repacked.
+
+    ``terms``, the read-only mapping (u-exponent, v-exponent) ->
+    coefficient with no zero coefficients, is decoded at most once per
+    value.  Equal values compare and hash equal whatever their layouts, and
+    a constant hashes like its int.  Instances are immutable.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("_n", "_ou", "_ov", "_k", "_w", "_vh", "_inf", "_l1", "_terms")
 
     def __init__(self, terms: Mapping[tuple[int, int], int] | None = None):
-        clean = {}
-        if terms:
-            for (pu, pv), c in terms.items():
-                if c:
-                    clean[(pu, pv)] = c
-        self.terms = clean
+        clean: dict[tuple[int, int], int] = {}
+        ou = ov = vmax = 0
+        inf = l1 = 0
+        for key, c in (terms or {}).items():
+            pu, pv = key
+            if not (isinstance(c, int) and isinstance(pu, int) and isinstance(pv, int)):
+                raise TypeError(f"EPoly needs int exponents and coefficients, got {key!r}: {c!r}")
+            if not c:
+                continue
+            if not clean:
+                ou, ov, vmax = pu, pv, pv
+            else:
+                if pu < ou:
+                    ou = pu
+                if pv < ov:
+                    ov = pv
+                elif pv > vmax:
+                    vmax = pv
+            clean[(pu, pv)] = c
+            m = -c if c < 0 else c
+            l1 += m
+            if m > inf:
+                inf = m
+        k, w, vh = _width(inf), _stride(vmax - ov), vmax - ov
+        self._n, self._ou, self._ov, self._k, self._w = _encode(clean, ou, ov, k, w), ou, ov, k, w
+        self._vh, self._inf, self._l1 = vh, inf, l1
+        self._terms = MappingProxyType(clean)
 
     @classmethod
     def monomial(cls, pu: int, pv: int, coeff: int = 1) -> EPoly:
-        return cls({(pu, pv): coeff})
+        if not (isinstance(coeff, int) and isinstance(pu, int) and isinstance(pv, int)):
+            raise TypeError(f"EPoly.monomial needs ints, got {(pu, pv, coeff)!r}")
+        if not coeff:
+            return ZERO
+        m = abs(coeff)
+        return _new(coeff, pu, pv, _width(m), 1, 0, m, m)
 
     @classmethod
     def from_int(cls, n: int) -> EPoly:
-        return cls({(0, 0): n})
+        return cls.monomial(0, 0, n)
+
+    @property
+    def terms(self) -> Mapping[tuple[int, int], int]:
+        t = self._terms
+        if t is None:
+            t = self._terms = MappingProxyType(_decode(self))
+        return t
+
+    def __reduce__(self):
+        return EPoly, (dict(self.terms),)
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return self._n != 0
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
+        if type(other) is not EPoly:
+            if not isinstance(other, int):
+                return NotImplemented
             other = EPoly.from_int(other)
-        if not isinstance(other, EPoly):
-            return NotImplemented
+        if (self._ou, self._ov, self._k, self._w) == (other._ou, other._ov, other._k, other._w):
+            return self._n == other._n
+        if not self._n or not other._n:
+            return self._n == other._n
         return self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    @staticmethod
-    def _coerce(x) -> EPoly:
-        if isinstance(x, EPoly):
-            return x
-        if isinstance(x, int):
-            return EPoly.from_int(x)
-        raise TypeError(f"cannot coerce {type(x).__name__} to EPoly")
+        t = self.terms
+        if not t:
+            return hash(0)
+        if len(t) == 1 and (0, 0) in t:
+            return hash(t[(0, 0)])
+        return hash(frozenset(t.items()))
 
     def __add__(self, other) -> EPoly:
-        other = self._coerce(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, 0) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        res = EPoly.__new__(EPoly)
-        res.terms = out
-        return res
+        if type(other) is not EPoly:
+            other = _coerce(other)
+        a, b = self, other
+        an, bn = a._n, b._n
+        if not bn:
+            return a
+        if not an:
+            return b
+        ak, bk, aw, bw = a._k, b._k, a._w, b._w
+        au, av, bu, bv = a._ou, a._ov, b._ou, b._ov
+        inf, l1 = a._inf + b._inf, a._l1 + b._l1
+        if inf > l1:
+            inf = l1
+        k = ak if ak >= bk else bk
+        if inf >> (k - 1):
+            k = _width(inf)
+        ou = au if au <= bu else bu
+        ov = av if av <= bv else bv
+        vh = max(av + a._vh, bv + b._vh) - ov
+        w = aw if aw >= bw else bw
+        if vh >= w:
+            w = _stride(vh)
+        if ak != k or aw != w:
+            an = _repack(a, k, w)
+        if bk != k or bw != w:
+            bn = _repack(b, k, w)
+        n = (an << k * ((au - ou) * w + av - ov)) + (bn << k * ((bu - ou) * w + bv - ov))
+        if not n:
+            return ZERO
+        return _new(n, ou, ov, k, w, vh, inf, l1)
 
     __radd__ = __add__
 
     def __neg__(self) -> EPoly:
-        res = EPoly.__new__(EPoly)
-        res.terms = {k: -c for k, c in self.terms.items()}
-        return res
+        return _new(-self._n, self._ou, self._ov, self._k, self._w, self._vh, self._inf, self._l1)
 
     def __sub__(self, other) -> EPoly:
-        return self + (-self._coerce(other))
+        return self + (-_coerce(other))
 
     def __mul__(self, other) -> EPoly:
-        other = self._coerce(other)
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        if not a:
+        if type(other) is not EPoly:
+            other = _coerce(other)
+        a, b = self, other
+        an, bn = a._n, b._n
+        if not an or not bn:
             return ZERO
-        if len(a) == 1:
-            (pu, pv), c = next(iter(a.items()))
-            if (pu, pv) == (0, 0):
-                if c == 1:
-                    res = EPoly.__new__(EPoly)
-                    res.terms = dict(b)
-                    return res
-                out = {k: c * d for k, d in b.items()}
-            else:
-                out = {(k[0] + pu, k[1] + pv): c * d for k, d in b.items()}
-            res = EPoly.__new__(EPoly)
-            res.terms = out
-            return res
-        out = {}
-        for (pu1, pv1), c1 in a.items():
-            for (pu2, pv2), c2 in b.items():
-                k = (pu1 + pu2, pv1 + pv2)
-                s = out.get(k, 0) + c1 * c2
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
-        res = EPoly.__new__(EPoly)
-        res.terms = out
-        return res
+        abits, bbits = an.bit_length(), bn.bit_length()
+        if abits < a._k:
+            return _scale(b, an, a._ou, a._ov)
+        if bbits < b._k:
+            return _scale(a, bn, b._ou, b._ov)
+        if abits // a._k > bbits // b._k:
+            a, b = b, a
+        t = a.terms
+        if len(t) <= _SHIFT_ADD_TERMS or len(t) ** 2 <= abits // a._k:
+            return _shift_add(b, a, t)
+        inf = min(a._inf * b._l1, a._l1 * b._inf)
+        k = a._k if a._k >= b._k else b._k
+        if inf >> (k - 1):
+            k = _width(inf)
+        vh = a._vh + b._vh
+        w = a._w if a._w >= b._w else b._w
+        if vh >= w:
+            w = _stride(vh)
+        n = _repack(a, k, w) * _repack(b, k, w)
+        return _new(n, a._ou + b._ou, a._ov + b._ov, k, w, vh, inf, a._l1 * b._l1)
 
     __rmul__ = __mul__
 
     def min_exponent(self) -> int | None:
         """Smallest exponent appearing in any variable; None for the zero polynomial."""
-        if not self.terms:
+        if not self._n:
             return None
         return min(min(pu, pv) for pu, pv in self.terms)
 
     def top_degree(self) -> int | None:
         """max over monomials of max(u-exp, v-exp); the dimension for a
         class of a smooth projective variety.  None for zero."""
-        if not self.terms:
+        if not self._n:
             return None
         return max(max(pu, pv) for pu, pv in self.terms)
 
@@ -158,6 +233,166 @@ class EPoly:
         return f"EPoly({format_epoly(self)})"
 
 
+# -- the packed layout -------------------------------------------------------
+
+# A product whose smaller operand has at most this many terms, or fewer terms
+# than the square root of its slot count (sparse in its box), is computed by
+# shift-and-add over those terms instead of one multiply of the repacked
+# operands, whose cost grows with the slots.  Values this small also carry
+# their decoded terms through monomial products and repack from them.
+_SHIFT_ADD_TERMS = 6
+
+# Slot widths in bytes that memoryview.cast decodes in one call.
+_CAST = {1: "B", 2: "H", 4: "I", 8: "Q"} if sys.byteorder == "little" else {}
+
+_alloc = object.__new__
+
+
+def _new(n, ou, ov, k, w, vh, inf, l1) -> EPoly:
+    x = _alloc(EPoly)
+    x._n, x._ou, x._ov, x._k, x._w, x._vh, x._inf, x._l1 = n, ou, ov, k, w, vh, inf, l1
+    x._terms = None
+    return x
+
+
+def _width(inf: int) -> int:
+    """Smallest multiple of 8 bits whose balanced digits hold |c| <= inf."""
+    return (inf.bit_length() + 8) & ~7
+
+
+def _stride(vh: int) -> int:
+    """Smallest power of two above vh."""
+    return 1 << vh.bit_length()
+
+
+def _coerce(x) -> EPoly:
+    if isinstance(x, EPoly):
+        return x
+    if isinstance(x, int):
+        return EPoly.from_int(x)
+    raise TypeError(f"cannot coerce {type(x).__name__} to EPoly")
+
+
+def _encode(terms, ou: int, ov: int, k: int, w: int) -> int:
+    """The integer of terms in the layout (ou, ov, k, w).  Few terms are
+    shifted and summed; more are written as biased digits into one byte
+    buffer, so the cost stays linear in its length."""
+    if len(terms) <= _SHIFT_ADD_TERMS:
+        n = 0
+        for (pu, pv), c in terms.items():
+            n += c << k * ((pu - ou) * w + pv - ov)
+        return n
+    kb, half = k >> 3, 1 << (k - 1)
+    slots = {(pu - ou) * w + pv - ov: c for (pu, pv), c in terms.items()}
+    pattern = half.to_bytes(kb, "little") * (max(slots) + 1)
+    buf = bytearray(pattern)
+    for i, c in slots.items():
+        buf[i * kb : (i + 1) * kb] = (c + half).to_bytes(kb, "little")
+    return int.from_bytes(buf, "little") - int.from_bytes(pattern, "little")
+
+
+def _digits(n: int, k: int, slots: int) -> bytes:
+    """The slots of n as biased digits c + 2**(k - 1), k // 8 little-endian
+    bytes each."""
+    pattern = (1 << (k - 1)).to_bytes(k >> 3, "little") * slots
+    return (n + int.from_bytes(pattern, "little")).to_bytes(len(pattern), "little")
+
+
+def _widen(raw, kb1: int, kb: int) -> bytearray:
+    """Slots of kb1 bytes, zero-extended to kb bytes each."""
+    out = bytearray(len(raw) // kb1 * kb)
+    for j in range(kb1):
+        out[j::kb] = raw[j::kb1]
+    return out
+
+
+def _decode(x: EPoly) -> dict[tuple[int, int], int]:
+    n, k, w = x._n, x._k, x._w
+    if not n:
+        return {}
+    kb, half = k >> 3, 1 << (k - 1)
+    # a nonzero top slot t makes |n| > 2**(k*t - 1), so t <= bit_length // k
+    raw = _digits(n, k, n.bit_length() // k + 1)
+    if kb not in _CAST and kb < 8:
+        wide = 4 if kb < 4 else 8
+        raw, kb = _widen(raw, kb, wide), wide
+    if kb in _CAST:
+        digits = memoryview(raw).cast(_CAST[kb]).tolist()
+    else:
+        digits = [int.from_bytes(raw[i : i + kb], "little") for i in range(0, len(raw), kb)]
+    ou, ov = x._ou, x._ov
+    return {
+        (ou + i // w, ov + i % w): d - half for i, d in enumerate(digits) if d != half
+    }
+
+
+def _repack(x: EPoly, k: int, w: int) -> int:
+    """x's integer in the layout with slot width k >= x._k and stride
+    w >= x._w, at the same offsets."""
+    n, k1, w1 = x._n, x._k, x._w
+    if k1 == k and w1 == w:
+        return n
+    bits = n.bit_length()
+    if bits < k1:  # at most one slot: the same integer in every layout
+        return n
+    t = x._terms
+    if t is not None and len(t) <= _SHIFT_ADD_TERMS:
+        return _encode(t, x._ou, x._ov, k, w)
+    kb1, kb = k1 >> 3, k >> 3
+    rows = bits // (k1 * w1) + 1
+    src = _digits(n, k1, rows * w1)
+    if kb != kb1:
+        src = _widen(src, kb1, kb)
+    fill = (1 << (k1 - 1)).to_bytes(kb, "little")
+    if w != w1:  # rows of w1 slots, w - w1 empty slots between them
+        row = w1 * kb
+        src = (fill * (w - w1)).join([src[i : i + row] for i in range(0, len(src), row)])
+    return int.from_bytes(src, "little") - int.from_bytes(fill * (len(src) // kb), "little")
+
+
+def _scale(x: EPoly, c: int, pu: int, pv: int) -> EPoly:
+    """x times the monomial c * u**pu * v**pv.  A small decoded x passes its
+    terms on, for the shift-and-add products that small values go into."""
+    k = x._k
+    if c == 1:
+        n, inf, l1 = x._n, x._inf, x._l1
+    else:
+        m = abs(c)
+        inf, l1 = x._inf * m, x._l1 * m
+        if inf >> (k - 1):
+            k = _width(inf)
+        n = _repack(x, k, x._w) * c
+    y = _new(n, x._ou + pu, x._ov + pv, k, x._w, x._vh, inf, l1)
+    t = x._terms
+    if t is not None and len(t) <= _SHIFT_ADD_TERMS:
+        y._terms = MappingProxyType({(u + pu, v + pv): d * c for (u, v), d in t.items()})
+    return y
+
+
+def _shift_add(x: EPoly, s: EPoly, terms) -> EPoly:
+    """x times s, whose terms are given: one shifted copy of x per term."""
+    inf = min(x._inf * s._l1, x._l1 * s._inf)
+    k = x._k
+    if inf >> (k - 1):
+        k = _width(inf)
+    vh = x._vh + s._vh
+    w = x._w
+    if vh >= w:
+        w = _stride(vh)
+    base = _repack(x, k, w)
+    su, sv = s._ou, s._ov
+    n = 0
+    for (pu, pv), c in terms.items():
+        shifted = base << k * ((pu - su) * w + pv - sv)
+        if c == 1:
+            n += shifted
+        elif c == -1:
+            n -= shifted
+        else:
+            n += shifted * c
+    return _new(n, x._ou + su, x._ov + sv, k, w, vh, inf, x._l1 * s._l1)
+
+
 ZERO = EPoly()
 ONE = EPoly.from_int(1)
 LEFSCHETZ = EPoly.monomial(1, 1)
@@ -165,7 +400,9 @@ LEFSCHETZ = EPoly.monomial(1, 1)
 
 def lefschetz_power(k: int) -> EPoly:
     """The monomial (uv)**k; Laurent for negative k."""
-    return EPoly.monomial(k, k)
+    if not isinstance(k, int):
+        raise TypeError(f"lefschetz_power needs an int, got {k!r}")
+    return _new(1, k, k, 8, 1, 0, 1, 1)
 
 
 def euler_number(a: EPoly) -> int:
@@ -276,10 +513,7 @@ def format_upoly(p: dict[int, int], var: str) -> str:
 def epoly_to_json(a: EPoly) -> list[dict]:
     """Canonical JSON form: terms sorted lexicographically by (pu, pv),
     coefficients as decimal strings."""
-    return [
-        {"pu": pu, "pv": pv, "c": str(a.terms[(pu, pv)])}
-        for (pu, pv) in sorted(a.terms)
-    ]
+    return [{"pu": pu, "pv": pv, "c": str(c)} for (pu, pv), c in sorted(a.terms.items())]
 
 
 def epoly_from_json(data: list[dict]) -> EPoly:

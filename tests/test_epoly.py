@@ -1,8 +1,10 @@
 """Coefficient-ring tests: exact arithmetic, specializations, Gaussian
-binomials and multinomials."""
+binomials and multinomials, and the packed EPoly against the dict-of-terms
+algorithm it replaced."""
 
 import itertools
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -212,3 +214,213 @@ def test_euler_is_ring_homomorphism(a, b):
 @given(epolys)
 def test_json_roundtrip_property(a):
     assert epoly_from_json(epoly_to_json(a)) == a
+
+
+# -- the dict-of-terms reference ---------------------------------------------
+#
+# The algorithm EPoly used before the packed layout: a mapping (u-exponent,
+# v-exponent) -> coefficient with no zeros, summed term by term and
+# multiplied pair by pair.  The specializations and the JSON form are read
+# straight off the mapping.
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for k, c in b.items():
+        s = out.get(k, 0) + c
+        if s:
+            out[k] = s
+        else:
+            out.pop(k, None)
+    return out
+
+
+def ref_neg(a):
+    return {k: -c for k, c in a.items()}
+
+
+def ref_mul(a, b):
+    out = {}
+    for (pu1, pv1), c1 in a.items():
+        for (pu2, pv2), c2 in b.items():
+            k = (pu1 + pu2, pv1 + pv2)
+            s = out.get(k, 0) + c1 * c2
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+    return out
+
+
+def ref_poincare(a):
+    out = {}
+    for (pu, pv), c in a.items():
+        out[pu + pv] = out.get(pu + pv, 0) + c * (-1) ** (pu + pv)
+    return {k: c for k, c in out.items() if c}
+
+
+def ref_chi_y(a):
+    out = {}
+    for (pu, _pv), c in a.items():
+        out[pu] = out.get(pu, 0) + c
+    return {k: c for k, c in out.items() if c}
+
+
+def assert_matches(p, ref):
+    """Every read of the public surface of p agrees with the mapping ref."""
+    assert dict(p.terms) == ref
+    assert bool(p) is bool(ref)
+    fresh = EPoly(ref)
+    assert p == fresh and fresh == p
+    assert hash(p) == hash(fresh)
+    exps = [e for key in ref for e in key]
+    assert p.min_exponent() == (min(exps) if ref else None)
+    assert p.top_degree() == (max(exps) if ref else None)
+    assert p.is_diagonal() == all(pu == pv for pu, pv in ref)
+    assert dict(p.reversal(3).terms) == {(3 - pu, 3 - pv): c for (pu, pv), c in ref.items()}
+    assert euler_number(p) == sum(ref.values())
+    if exps and min(exps) < 0:
+        with pytest.raises(NegativeExponent):
+            poincare_polynomial(p)
+        with pytest.raises(NegativeExponent):
+            chi_y_polynomial(p)
+    else:
+        assert poincare_polynomial(p) == ref_poincare(ref)
+        assert chi_y_polynomial(p) == ref_chi_y(ref)
+    assert epoly_to_json(p) == [
+        {"pu": pu, "pv": pv, "c": str(ref[(pu, pv)])} for pu, pv in sorted(ref)
+    ]
+    assert pickle.loads(pickle.dumps(p)) == p
+
+
+def wide_terms(min_size=0, max_size=40):
+    return st.dictionaries(
+        st.tuples(st.integers(-40, 40), st.integers(-40, 40)),
+        st.integers(-(2**130), 2**130),
+        min_size=min_size,
+        max_size=max_size,
+    )
+
+
+@st.composite
+def dense_terms(draw):
+    """10 to 40 terms in an 8 x 8 box somewhere in -40..40."""
+    ou, ov = draw(st.integers(-40, 33)), draw(st.integers(-40, 33))
+    cells = st.tuples(st.integers(ou, ou + 7), st.integers(ov, ov + 7))
+    coeffs = st.integers(-(2**130), 2**130)
+    return draw(st.dictionaries(cells, coeffs, min_size=10, max_size=40))
+
+
+# one term (the offset-only path), at most six or sparse in their box
+# (shift-and-add), and dense (one multiply of the repacked operands)
+term_sets = st.one_of(wide_terms(1, 1), wide_terms(0, 6), wide_terms(7, 40), dense_terms())
+
+
+@settings(max_examples=60, deadline=None)
+@given(term_sets, term_sets, wide_terms(0, 6), st.integers(-(2**70), 2**70))
+def test_packed_matches_dict_reference(a, b, c, n):
+    pa, pb, pc = EPoly(a), EPoly(b), EPoly(c)
+    a, b, c = ({key: x for key, x in d.items() if x} for d in (a, b, c))
+    assert_matches(pa, a)
+    assert_matches(pa + pb, ref_add(a, b))
+    assert_matches(pa - pb, ref_add(a, ref_neg(b)))
+    assert_matches(-pa, ref_neg(a))
+    ab = ref_mul(a, b)
+    assert_matches(pa * pb, ab)
+    assert_matches((pa * pb) * pc, ref_mul(ab, c))
+    assert_matches(pa * pb + pc, ref_add(ab, c))
+    assert_matches(pa * pb - pb * pa, {})
+    assert_matches(pa * n, ref_mul(a, {(0, 0): n} if n else {}))
+    assert_matches(n + pa, ref_add(a, {(0, 0): n} if n else {}))
+    assert (pa == pb) is (a == b)
+
+
+def layout(p):
+    return p._k, p._w
+
+
+def test_v_span_doubles_past_the_starting_stride():
+    a, b = {(0, 0): 1, (0, 3): 1}, {(0, 0): 1, (2, 5): -2, (1, 1): 3}
+    pa, pb = EPoly(a), EPoly(b)
+    prod = pa * pb
+    assert prod._w > max(pa._w, pb._w)
+    assert_matches(prod, ref_mul(a, b))
+    c = {(1, 9): 4}
+    total = pa + EPoly(c)  # the union's v-span, 9, doubles the stride twice
+    assert total._w >= 4 * pa._w
+    assert_matches(total, ref_add(a, c))
+
+
+def test_coefficient_crosses_the_slot_through_a_sum():
+    a = {(0, 0): 127, (1, 2): -127, (0, 1): 5}
+    pa = EPoly(a)
+    total = pa + pa
+    assert total._k > pa._k
+    assert_matches(total, ref_add(a, a))
+    assert_matches(total - pa - pa, {})
+
+
+@pytest.mark.parametrize("size", [3, 9])
+def test_coefficient_crosses_the_slot_through_a_product(size):
+    # three terms go through shift-and-add, nine through one multiply
+    a = {(i % 3, i // 3): 100 for i in range(size)}
+    pa = EPoly(a)
+    prod = pa * pa
+    assert prod._k > pa._k
+    assert_matches(prod, ref_mul(a, a))
+
+
+def test_offsets_down_to_minus_eight():
+    a = {(-8, -3): 5, (2, -8): -1, (0, 0): 7}
+    pa = EPoly(a)
+    assert_matches(pa, a)
+    shifted = lefschetz_power(-8) * pa
+    assert_matches(shifted, ref_mul(a, {(-8, -8): 1}))
+    b = {(-1, -1): 2, (3, 0): 1}
+    assert_matches(shifted * EPoly(b) + pa, ref_add(ref_mul(ref_mul(a, {(-8, -8): 1}), b), a))
+
+
+def test_results_that_cancel_to_zero():
+    a = {(0, 0): 3, (1, 4): -2, (2, 2): 2**100}
+    b = {(5, 5): 1, (0, 7): 9, (-3, 1): -4, (1, 1): 2, (2, 0): 1, (0, 2): 1, (4, 4): 1}
+    pa, pb = EPoly(a), EPoly(b)
+    for zero in (pa - pa, (pa + pb) - pa - pb, pa * pb - EPoly(ref_mul(a, b))):
+        assert not zero
+        assert zero == 0 and zero == ZERO
+        assert hash(zero) == hash(0)
+        assert_matches(zero, {})
+
+
+def test_constants_hash_like_ints():
+    assert hash(ONE) == hash(1)
+    assert len({ONE, 1}) == 1
+    assert {1: "a"}.get(ONE) == "a"
+    assert hash(ZERO) == hash(0) and ZERO == 0
+    big = EPoly.monomial(5, 9, 2**70)
+    seven = (EPoly.from_int(7) + big) - big  # 7 in a wide layout
+    assert layout(seven) != layout(EPoly.from_int(7))
+    assert seven == 7 and hash(seven) == hash(7)
+    assert {7: "b"}.get(seven) == "b"
+
+
+def test_equal_values_in_different_layouts():
+    x = EPoly({(0, 0): 1, (0, 1): -3, (2, 1): 4})
+    big = EPoly.monomial(5, 9, 2**70)
+    y = (x + big) - big
+    assert layout(y) != layout(x)
+    assert y == x and x == y
+    assert hash(y) == hash(x)
+    assert len({x, y}) == 1
+    assert y != x + ONE
+
+
+def test_constructor_rejects_non_integers():
+    for bad in ({(0, 0): 2.0}, {(0, 0): 0.0}, {(0.0, 0): 1}, {(0, 1.5): 1}, {(0, 0): "1"}):
+        with pytest.raises(TypeError):
+            EPoly(bad)
+    with pytest.raises(TypeError):
+        EPoly.monomial(1, 1, 0.5)
+    with pytest.raises(TypeError):
+        EPoly.from_int(1.0)
+    with pytest.raises(TypeError):
+        lefschetz_power(1.5)
