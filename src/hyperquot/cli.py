@@ -122,14 +122,6 @@ def _specialized_series_json(series: MSeries, fn, var: str) -> dict:
     }
 
 
-def specialized_series_from_json(data: dict) -> dict:
-    """Parse the poincare / chi_y series JSON back to plain structures."""
-    return {
-        tuple(t["d"]): {int(u["e"]): int(u["c"]) for u in t["coeff"]}
-        for t in data["terms"]
-    }
-
-
 def _header(profile: NestingProfile) -> list[str]:
     return [
         f"profile: r={profile.rank}, s={profile.s}, coranks={profile.coranks}",
@@ -204,18 +196,16 @@ def cmd_compute(config: argparse.Namespace) -> int:
 
 
 def _series_mismatch(lhs: MSeries, rhs: MSeries, lhs_name: str, rhs_name: str):
-    if lhs == rhs:
-        return None
-    for d in lhs.window.cells():
-        a = lhs.coefficient(d)
-        b = rhs.coefficient(d)
+    if lhs.window != rhs.window:
+        return {"detail": "windows differ"}
+    for d, a, b in zip(lhs.window.cells(), lhs.values, rhs.values):
         if a != b:
             return {
                 "d": list(d),
                 lhs_name: format_epoly(a),
                 rhs_name: format_epoly(b),
             }
-    return {"detail": "windows differ"}
+    return None
 
 
 def cmd_verify(config: argparse.Namespace) -> int:
@@ -266,7 +256,7 @@ def cmd_verify(config: argparse.Namespace) -> int:
                 if mismatch:
                     break
         else:
-            checked = len(list(window.cells()))
+            checked = window.size
             if suite == "oracle":
                 rhs = oracle_partition_function(curve, bundle, profile, window)
                 mismatch = _series_mismatch(series, rhs, "formula", "enumeration")
@@ -275,7 +265,7 @@ def cmd_verify(config: argparse.Namespace) -> int:
             else:
                 lhs = MSeries(
                     window,
-                    {d: EPoly.from_int(euler_number(c)) for d, c in series.coeffs.items()},
+                    {d: EPoly.from_int(euler_number(c)) for d, c in series.items()},
                 )
                 rhs = euler_partition_function(curve, bundle, profile, window)
                 mismatch = _series_mismatch(lhs, rhs, "specialized", "euler_series")
@@ -303,9 +293,9 @@ def cmd_info(config: argparse.Namespace) -> int:
         {
             "d": list(d),
             "vd": virtual_dimension(profile, d, curve.genus, bundle.total_degree),
-            "fixed_components": euler_number(counts.coefficient(d)),
+            "fixed_components": euler_number(c),
         }
-        for d in window.cells()
+        for d, c in zip(window.cells(), counts.values)
     ]
     perms = block_permutations(profile)
     result = {

@@ -11,7 +11,6 @@ extended monotonically in the truncation order.
 from __future__ import annotations
 
 import math
-import threading
 from functools import lru_cache
 
 from .epoly import LEFSCHETZ, ONE, EPoly, lefschetz_power
@@ -29,7 +28,6 @@ class InvalidTuple(ValueError):
 
 
 _sym_cache: dict[int, list[EPoly]] = {}
-_cache_lock = threading.Lock()
 
 
 @lru_cache(maxsize=None)
@@ -54,16 +52,15 @@ def sym_classes(genus: int, order: int) -> list[EPoly]:
     """Classes of Sym^0 C .. Sym^order C for a genus-g curve."""
     if genus < 0 or order < 0:
         raise ValueError("genus and order must be >= 0")
-    with _cache_lock:
-        cache = _sym_cache.setdefault(genus, [])
-        if len(cache) <= order:
-            num = zeta_numerator(genus)
-            for n in range(len(cache), order + 1):
-                c = EPoly()
-                for k in range(min(2 * genus, n) + 1):
-                    c = c + num[k] * _projective_space(n - k)
-                cache.append(c)
-        return cache[: order + 1]
+    cache = _sym_cache.setdefault(genus, [])
+    if len(cache) <= order:
+        num = zeta_numerator(genus)
+        for n in range(len(cache), order + 1):
+            c = EPoly()
+            for k in range(min(2 * genus, n) + 1):
+                c = c + num[k] * _projective_space(n - k)
+            cache.append(c)
+    return cache[: order + 1]
 
 
 def sym_class(genus: int, n: int) -> EPoly:

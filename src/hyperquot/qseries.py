@@ -13,6 +13,7 @@ Degree vectors are plain tuples of ints throughout.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
@@ -20,7 +21,7 @@ from .epoly import ZERO, EPoly, epoly_from_json, epoly_to_json
 
 
 class WindowMismatch(ValueError):
-    """Operands live in different windows, or a restriction is not a subwindow."""
+    """Operands live in different windows."""
 
 
 class InvalidMonomial(ValueError):
@@ -51,8 +52,12 @@ class Window:
     def arity(self) -> int:
         return len(self.lo)
 
+    @property
+    def size(self) -> int:
+        return math.prod(b - a + 1 for a, b in zip(self.lo, self.hi))
+
     def contains(self, d: tuple[int, ...]) -> bool:
-        return all(a <= x <= b for x, a, b in zip(d, self.lo, self.hi))
+        return len(d) == len(self.lo) and all(a <= x <= b for x, a, b in zip(d, self.lo, self.hi))
 
     def cells(self) -> Iterator[tuple[int, ...]]:
         """All degree vectors in the window, in ascending lexicographic order."""
@@ -60,12 +65,25 @@ class Window:
             *(range(a, b + 1) for a, b in zip(self.lo, self.hi))
         )
 
-    def covers(self, other: Window) -> bool:
-        return (
-            self.arity == other.arity
-            and all(a <= c for a, c in zip(self.lo, other.lo))
-            and all(d <= b for b, d in zip(self.hi, other.hi))
-        )
+    def index(self, d: tuple[int, ...]) -> int:
+        """Row-major position of a cell: its place in ``cells()``."""
+        i = 0
+        for x, a, b in zip(d, self.lo, self.hi):
+            i = i * (b - a + 1) + x - a
+        return i
+
+
+def _shift_pairs(src: Window, dst: Window, delta: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The (source index, target index) pairs of the cells d of ``src`` with
+    d + delta inside ``dst``, both row-major, ascending."""
+    pairs = [(0, 0)]
+    for s_lo, s_hi, t_lo, t_hi, dk in zip(src.lo, src.hi, dst.lo, dst.hi, delta):
+        s_n, t_n = s_hi - s_lo + 1, t_hi - t_lo + 1
+        xs = range(max(s_lo, t_lo - dk), min(s_hi, t_hi - dk) + 1)
+        pairs = [
+            (i * s_n + x - s_lo, j * t_n + x + dk - t_lo) for i, j in pairs for x in xs
+        ]
+    return pairs
 
 
 def _validate_direction(window: Window, m: tuple[int, ...]):
@@ -78,40 +96,44 @@ def _validate_direction(window: Window, m: tuple[int, ...]):
 
 
 class MSeries:
-    """Finitely supported coefficients inside a window.
+    """Coefficients over a window, stored densely: ``values`` lists one
+    coefficient per cell of the window in row-major order (the order of
+    ``Window.cells``), with ``ZERO`` in empty cells.
 
-    Equality is window equality plus degree-by-degree coefficient equality.
-    The zero series is the empty mapping.
+    Equality is window equality plus cell-by-cell coefficient equality.
     """
 
-    __slots__ = ("window", "coeffs")
+    __slots__ = ("window", "values")
 
     def __init__(self, window: Window, coeffs: Mapping[tuple[int, ...], EPoly] | None = None):
         self.window = window
-        clean: dict[tuple[int, ...], EPoly] = {}
-        if coeffs:
-            for d, c in coeffs.items():
-                d = tuple(d)
-                if c and window.contains(d):
-                    clean[d] = c
-        self.coeffs = clean
+        self.values = [ZERO] * window.size
+        for d, c in (coeffs or {}).items():
+            if c and window.contains(d):
+                self.values[window.index(d)] = c
+
+    @property
+    def coeffs(self) -> dict[tuple[int, ...], EPoly]:
+        """The nonzero coefficients by degree."""
+        return dict(self.items())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MSeries):
             return NotImplemented
-        return self.window == other.window and self.coeffs == other.coeffs
+        return self.window == other.window and self.values == other.values
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return any(self.values)
 
     def items(self) -> list[tuple[tuple[int, ...], EPoly]]:
-        return sorted(self.coeffs.items())
+        """The nonzero coefficients in ascending degree order."""
+        return [(d, c) for d, c in zip(self.window.cells(), self.values) if c]
 
     def coefficient(self, d: tuple[int, ...]) -> EPoly:
         d = tuple(d)
         if not self.window.contains(d):
             raise OutOfWindow(f"degree {d} outside window {self.window}")
-        return self.coeffs.get(d, ZERO)
+        return self.values[self.window.index(d)]
 
     def _check_same_window(self, other: MSeries):
         if self.window != other.window:
@@ -121,51 +143,25 @@ class MSeries:
 
     def __add__(self, other: MSeries) -> MSeries:
         self._check_same_window(other)
-        out = dict(self.coeffs)
-        for d, c in other.coeffs.items():
-            s = out.get(d)
-            s = c if s is None else s + c
-            if s:
-                out[d] = s
-            else:
-                out.pop(d, None)
-        res = MSeries.__new__(MSeries)
-        res.window = self.window
-        res.coeffs = out
-        return res
+        return _dense(
+            self.window, [a + b if a and b else a or b for a, b in zip(self.values, other.values)]
+        )
 
     def __mul__(self, other: MSeries) -> MSeries:
         self._check_same_window(other)
-        win = self.window
-        out: dict[tuple[int, ...], EPoly] = {}
-        for d1, c1 in self.coeffs.items():
-            for d2, c2 in other.coeffs.items():
-                d = tuple(x + y for x, y in zip(d1, d2))
-                if not win.contains(d):
-                    continue
-                prod = c1 * c2
-                s = out.get(d)
-                s = prod if s is None else s + prod
-                if s:
-                    out[d] = s
-                else:
-                    out.pop(d, None)
-        res = MSeries.__new__(MSeries)
-        res.window = win
-        res.coeffs = out
-        return res
-
-    def restrict(self, window: Window) -> MSeries:
-        """Truncate to a subwindow of the current window."""
-        if not self.window.covers(window):
-            raise WindowMismatch(
-                f"{window} is not a subwindow of {self.window}"
-            )
-        return MSeries(window, {d: c for d, c in self.coeffs.items() if window.contains(d)})
+        return multiply_sparse(self, other.items())
 
     def __repr__(self):
-        n = len(self.coeffs)
+        n = sum(1 for c in self.values if c)
         return f"MSeries(window={self.window.lo}..{self.window.hi}, {n} terms)"
+
+
+def _dense(window: Window, values: list[EPoly]) -> MSeries:
+    """Wrap a row-major value list of ``window`` without re-checking it."""
+    res = MSeries.__new__(MSeries)
+    res.window = window
+    res.values = values
+    return res
 
 
 def zero_series(window: Window) -> MSeries:
@@ -206,62 +202,39 @@ def geometric_divide(a: MSeries, c: EPoly | int, m: tuple[int, ...]) -> MSeries:
     m = _validate_direction(a.window, m)
     if isinstance(c, int):
         c = EPoly.from_int(c)
-    win = a.window
-    lo = win.lo
-    out: dict[tuple[int, ...], EPoly] = {}
-    get_a = a.coeffs.get
-    for d in win.cells():
-        prev_d = tuple(x - y for x, y in zip(d, m))
-        prev = out.get(prev_d) if all(x >= a0 for x, a0 in zip(prev_d, lo)) else None
-        val = get_a(d)
-        if prev is not None:
-            carry = c * prev
-            val = carry if val is None else val + carry
-        if val:
-            out[d] = val
-    res = MSeries.__new__(MSeries)
-    res.window = win
-    res.coeffs = out
-    return res
+    out = list(a.values)
+    # m >= 0 and m != 0, so every source index is below its target and is
+    # final by the time the ascending pairs reach it.
+    for i, j in _shift_pairs(a.window, a.window, m):
+        if out[i]:
+            carry = c * out[i]
+            out[j] = out[j] + carry if out[j] else carry
+    return _dense(a.window, out)
 
 
 def multiply_sparse(a: MSeries, terms: Iterable[tuple[tuple[int, ...], EPoly]]) -> MSeries:
     """Multiply by a sparse polynomial given as (degree shift, coefficient)
     pairs, truncating to a's window."""
-    win = a.window
-    out: dict[tuple[int, ...], EPoly] = {}
+    win, values = a.window, a.values
+    out = [ZERO] * len(values)
     for delta, coeff in terms:
         if not coeff:
             continue
-        for d, c in a.coeffs.items():
-            nd = tuple(x + y for x, y in zip(d, delta))
-            if not win.contains(nd):
-                continue
-            prod = coeff * c
-            s = out.get(nd)
-            s = prod if s is None else s + prod
-            if s:
-                out[nd] = s
-            else:
-                out.pop(nd, None)
-    res = MSeries.__new__(MSeries)
-    res.window = win
-    res.coeffs = out
-    return res
+        for i, j in _shift_pairs(win, win, delta):
+            if values[i]:
+                prod = coeff * values[i]
+                out[j] = out[j] + prod if out[j] else prod
+    return _dense(win, out)
 
 
 def shift_rewindow(a: MSeries, delta: tuple[int, ...], c: EPoly, window: Window) -> MSeries:
     """c * q**delta * a, re-truncated into a new window.  The caller is
     responsible for a being a full expansion of window - delta."""
-    delta = tuple(delta)
-    out = {}
-    for d, v in a.coeffs.items():
-        nd = tuple(x + y for x, y in zip(d, delta))
-        if window.contains(nd):
-            p = c * v
-            if p:
-                out[nd] = p
-    return MSeries(window, out)
+    out = [ZERO] * window.size
+    for i, j in _shift_pairs(a.window, window, delta):
+        if a.values[i]:
+            out[j] = c * a.values[i]
+    return _dense(window, out)
 
 
 def series_to_json(a: MSeries) -> dict:

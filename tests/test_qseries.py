@@ -1,5 +1,6 @@
 """Windowed series algebra: truncated convolution, geometric expansions,
-truncation coherence."""
+truncation coherence, and the dense row-major kernels against the
+dict-of-degree-tuples algorithms they replaced."""
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +35,13 @@ def test_window_validation():
     w = Window((-1, 0), (1, 2))
     assert w.contains((0, 1)) and not w.contains((2, 0))
     assert list(w.cells())[0] == (-1, 0)
+    assert w.size == 9
+    assert [w.index(d) for d in w.cells()] == list(range(w.size))
+    # a degree of the wrong arity is in no cell
+    assert not w.contains((0,)) and not w.contains((0, 1, 0))
+    assert MSeries(w, {(0,): ONE}) == zero_series(w)
+    with pytest.raises(OutOfWindow):
+        zero_series(w).coefficient((0,))
 
 
 def test_series_monomial():
@@ -98,12 +106,13 @@ def test_window_mismatch():
 
 
 def test_restrict_coherence_direct_constructors():
+    # keeping the coefficients of a big-window series that lie in a
+    # subwindow equals constructing the series in the subwindow directly
     big = Window((0, 0), (3, 3))
     small = Window((0, 0), (2, 1))
     for c, m in [(ONE, (1, 0)), (L, (1, 1)), (ONE + L, (0, 1))]:
-        assert geometric_inverse(big, c, m).restrict(small) == geometric_inverse(small, c, m)
-    with pytest.raises(WindowMismatch):
-        one_series(small).restrict(big)
+        assert MSeries(small, geometric_inverse(big, c, m).coeffs) == geometric_inverse(small, c, m)
+    assert MSeries(small, one_series(big).coeffs) == one_series(small)
 
 
 def test_shift_rewindow():
@@ -178,3 +187,123 @@ def test_multiply_sparse_matches_mul(a, c0, c1):
     sparse = [((0, 0), c0), ((1, 1), c1)]
     explicit = series_monomial(W2, (0, 0), c0) + series_monomial(W2, (1, 1), c1)
     assert multiply_sparse(a, sparse) == a * explicit
+
+
+# -- dense kernels against the dict-of-tuples algorithms -------------------------
+#
+# The reference functions below are the algorithms the row-major kernels
+# replaced: series as dicts from degree tuples to nonzero coefficients,
+# every shift built as a tuple and tested against the window.
+
+
+def ref_filter(window, coeffs):
+    return {tuple(d): c for d, c in coeffs.items() if c and window.contains(d)}
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for d, c in b.items():
+        s = c if d not in out else out[d] + c
+        if s:
+            out[d] = s
+        else:
+            out.pop(d, None)
+    return out
+
+
+def ref_multiply_sparse(window, a, terms):
+    out = {}
+    for delta, coeff in terms:
+        if not coeff:
+            continue
+        for d, c in a.items():
+            nd = tuple(x + y for x, y in zip(d, delta))
+            if window.contains(nd):
+                out[nd] = out.get(nd, ZERO) + coeff * c
+    return {d: c for d, c in out.items() if c}
+
+
+def ref_mul(window, a, b):
+    return ref_multiply_sparse(window, a, list(b.items()))
+
+
+def ref_geometric_divide(window, a, c, m):
+    out = {}
+    for d in window.cells():
+        prev_d = tuple(x - y for x, y in zip(d, m))
+        prev = out.get(prev_d) if all(x >= a0 for x, a0 in zip(prev_d, window.lo)) else None
+        val = a.get(d)
+        if prev is not None:
+            carry = c * prev
+            val = carry if val is None else val + carry
+        if val:
+            out[d] = val
+    return out
+
+
+def ref_shift_rewindow(a, delta, c, window):
+    out = {}
+    for d, v in a.items():
+        nd = tuple(x + y for x, y in zip(d, delta))
+        if window.contains(nd) and c * v:
+            out[nd] = c * v
+    return out
+
+
+@st.composite
+def windows(draw, arity, lo=st.integers(-3, 0), extent=st.integers(1, 4)):
+    lo = tuple(draw(lo) for _ in range(arity))
+    return Window(lo, tuple(a + draw(extent) - 1 for a in lo))
+
+
+def degrees_near(window, spill=2):
+    """Degrees in and around a window, so constructors see cells to drop."""
+    return st.tuples(*(st.integers(a - spill, b + spill) for a, b in zip(window.lo, window.hi)))
+
+
+def assert_matches(series, window, ref):
+    """A dense series equals a reference dict cell by cell, in every view."""
+    assert series.window == window
+    assert len(series.values) == window.size
+    assert series.coeffs == ref
+    assert series.items() == sorted(ref.items())
+    for d in window.cells():
+        assert series.coefficient(d) == ref.get(d, ZERO)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_dense_kernels_match_dict_reference(data):
+    arity = data.draw(st.integers(1, 3))
+    win = data.draw(windows(arity))
+    coeff_dicts = st.dictionaries(degrees_near(win), small_epolys, max_size=6)
+    raw = [data.draw(coeff_dicts), data.draw(coeff_dicts)]
+    a, b = (ref_filter(win, r) for r in raw)
+    sa, sb = (MSeries(win, r) for r in raw)
+    assert_matches(sa, win, a)
+    assert_matches(sa + sb, win, ref_add(a, b))
+    assert_matches(sa * sb, win, ref_mul(win, a, b))
+
+    shift = st.tuples(*[st.integers(-5, 5)] * arity)
+    terms = data.draw(st.lists(st.tuples(shift, small_epolys), max_size=3))
+    assert_matches(multiply_sparse(sa, terms), win, ref_multiply_sparse(win, a, terms))
+
+    m = data.draw(st.tuples(*[st.integers(0, 2)] * arity).filter(any))
+    c = data.draw(small_epolys)
+    assert_matches(geometric_divide(sa, c, m), win, ref_geometric_divide(win, a, c, m))
+
+    # another shape and offset; lo in -8..4 makes disjoint targets common
+    target = data.draw(windows(arity, lo=st.integers(-8, 4)))
+    delta = data.draw(shift)
+    assert_matches(
+        shift_rewindow(sa, delta, c, target), target, ref_shift_rewindow(a, delta, c, target)
+    )
+
+
+def test_shift_rewindow_into_disjoint_window_is_zero():
+    s = geometric_inverse(Window((0, 0), (3, 3)), L, (1, 1))
+    far = Window((10, -4), (12, -2))
+    assert shift_rewindow(s, (1, 1), ONE, far) == zero_series(far)
+    assert shift_rewindow(s, (-1, 1), ONE, Window((-2, 0), (-1, 0))) == zero_series(
+        Window((-2, 0), (-1, 0))
+    )
