@@ -24,6 +24,14 @@ class InvalidProfile(ValueError):
     """Quotient ranks not nondecreasing or out of the range 0..r."""
 
 
+def _int_tuple(what: str, xs) -> tuple[int, ...]:
+    """xs as a tuple; TypeError if an entry is not an int."""
+    xs = tuple(xs)
+    if not all(isinstance(x, int) for x in xs):
+        raise TypeError(f"{what}: expected ints, got {xs!r}")
+    return xs
+
+
 @dataclass(frozen=True)
 class NestingProfile:
     rank: int
@@ -31,7 +39,8 @@ class NestingProfile:
     coranks: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "s", tuple(int(x) for x in self.s))
+        _int_tuple("rank", (self.rank,))
+        object.__setattr__(self, "s", _int_tuple("quotient ranks", self.s))
         if self.rank < 1:
             raise InvalidProfile(f"rank must be positive, got {self.rank}")
         if not self.s:
@@ -78,7 +87,7 @@ class BundleSpec:
     degrees: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "degrees", tuple(int(x) for x in self.degrees))
+        object.__setattr__(self, "degrees", _int_tuple("degrees", self.degrees))
         if not self.degrees:
             raise InvalidProfile("bundle needs at least one line-bundle summand")
 
@@ -100,6 +109,7 @@ class CurveSpec:
     genus: int
 
     def __post_init__(self):
+        _int_tuple("genus", (self.genus,))
         if self.genus < 0:
             raise InvalidProfile(f"genus must be >= 0, got {self.genus}")
 

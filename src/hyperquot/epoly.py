@@ -36,23 +36,25 @@ class EPoly:
         n = sum of c * 2**(K * ((a - ou) * W + (b - ov)))
 
     with Laurent offsets ``ou``, ``ov`` at most the smallest exponents, a
-    v-stride ``W`` above every ``b - ov`` and a slot width ``K``, a multiple
-    of 8, with every ``|c| < 2**(K - 1)``: the coefficients are the balanced
-    base-2**K digits of n, so they decode uniquely.  A sum is one aligned
-    bigint add and a product one bigint multiply.  A monomial factor only
-    moves the offsets, and a factor with few terms (at most six, or fewer
-    than the square root of its slot count) is applied by shift-and-add
-    over its terms.
+    v-stride ``W`` above every ``b - ov`` and a slot width ``K`` with every
+    ``|c| < 2**(K - 1)``: the coefficients are the balanced base-2**K
+    digits of n, so they decode uniquely.  The layout is coarse: K is a
+    multiple of 32 and W a power of two of at least 32, so most values of
+    one computation share it.  A sum is one aligned bigint add.  A factor
+    of one slot (a monomial) is applied by moving the offsets and scaling
+    the integer, a factor with fewer terms than the square root of its slot
+    count by shift-and-add over its terms, and anything else by one bigint
+    multiply.
 
     K and W come from bounds that travel with each value, exact for a value
-    built from its terms: ``vh`` >= every ``b - ov``, ``inf`` >= every
-    ``|c|`` and ``l1`` >= the sum of the ``|c|``.  A sum has
-    ``inf <= inf_a + inf_b`` and ``l1 <= l1_a + l1_b``; a product has
-    ``inf <= min(inf_a * l1_b, l1_a * inf_b)``, ``l1 <= l1_a * l1_b`` and
-    ``vh <= vh_a + vh_b``.  A result keeps the wider of its operands' K and
-    W, widening K to the next multiple of 8 above the bit length of ``inf``
-    or W to the next power of two above ``vh`` only when a bound needs it;
-    an operand in a narrower layout is repacked.
+    built from its terms: ``vh`` >= every ``b - ov`` and ``inf`` >= every
+    ``|c|``.  A sum has ``inf <= inf_a + inf_b``; a product has
+    ``vh <= vh_a + vh_b`` and ``inf`` at most the inf of one operand times
+    the sum of the ``|c|`` of the other, whose terms the product decodes
+    anyway.  A result keeps the wider of its operands' K and W, widening K
+    to the next multiple of 32 above the bit length of ``inf`` or W to the
+    next power of two above ``vh`` only when a bound needs it; an operand
+    in a narrower layout is repacked.
 
     ``terms``, the read-only mapping (u-exponent, v-exponent) ->
     coefficient with no zero coefficients, is decoded at most once per
@@ -60,12 +62,11 @@ class EPoly:
     a constant hashes like its int.  Instances are immutable.
     """
 
-    __slots__ = ("_n", "_ou", "_ov", "_k", "_w", "_vh", "_inf", "_l1", "_terms")
+    __slots__ = ("_n", "_ou", "_ov", "_k", "_w", "_vh", "_inf", "_terms")
 
     def __init__(self, terms: Mapping[tuple[int, int], int] | None = None):
         clean: dict[tuple[int, int], int] = {}
-        ou = ov = vmax = 0
-        inf = l1 = 0
+        ou = ov = vmax = inf = 0
         for key, c in (terms or {}).items():
             pu, pv = key
             if not (isinstance(c, int) and isinstance(pu, int) and isinstance(pv, int)):
@@ -83,12 +84,11 @@ class EPoly:
                     vmax = pv
             clean[(pu, pv)] = c
             m = -c if c < 0 else c
-            l1 += m
             if m > inf:
                 inf = m
         k, w, vh = _width(inf), _stride(vmax - ov), vmax - ov
         self._n, self._ou, self._ov, self._k, self._w = _encode(clean, ou, ov, k, w), ou, ov, k, w
-        self._vh, self._inf, self._l1 = vh, inf, l1
+        self._vh, self._inf = vh, inf
         self._terms = MappingProxyType(clean)
 
     @classmethod
@@ -98,7 +98,7 @@ class EPoly:
         if not coeff:
             return ZERO
         m = abs(coeff)
-        return _new(coeff, pu, pv, _width(m), 1, 0, m, m)
+        return _new(coeff, pu, pv, _width(m), _stride(0), 0, m)
 
     @classmethod
     def from_int(cls, n: int) -> EPoly:
@@ -147,9 +147,7 @@ class EPoly:
             return b
         ak, bk, aw, bw = a._k, b._k, a._w, b._w
         au, av, bu, bv = a._ou, a._ov, b._ou, b._ov
-        inf, l1 = a._inf + b._inf, a._l1 + b._l1
-        if inf > l1:
-            inf = l1
+        inf = a._inf + b._inf
         k = ak if ak >= bk else bk
         if inf >> (k - 1):
             k = _width(inf)
@@ -166,12 +164,12 @@ class EPoly:
         n = (an << k * ((au - ou) * w + av - ov)) + (bn << k * ((bu - ou) * w + bv - ov))
         if not n:
             return ZERO
-        return _new(n, ou, ov, k, w, vh, inf, l1)
+        return _new(n, ou, ov, k, w, vh, inf)
 
     __radd__ = __add__
 
     def __neg__(self) -> EPoly:
-        return _new(-self._n, self._ou, self._ov, self._k, self._w, self._vh, self._inf, self._l1)
+        return _new(-self._n, self._ou, self._ov, self._k, self._w, self._vh, self._inf)
 
     def __sub__(self, other) -> EPoly:
         return self + (-_coerce(other))
@@ -188,12 +186,13 @@ class EPoly:
             return _scale(b, an, a._ou, a._ov)
         if bbits < b._k:
             return _scale(a, bn, b._ou, b._ov)
-        if abits // a._k > bbits // b._k:
-            a, b = b, a
+        slots, bslots = abits // a._k, bbits // b._k
+        if slots > bslots:
+            a, b, slots = b, a, bslots
         t = a.terms
-        if len(t) <= _SHIFT_ADD_TERMS or len(t) ** 2 <= abits // a._k:
-            return _shift_add(b, a, t)
-        inf = min(a._inf * b._l1, a._l1 * b._inf)
+        inf = b._inf * sum(map(abs, t.values()))
+        if len(t) ** 2 <= slots:
+            return _shift_add(b, a, t, inf)
         k = a._k if a._k >= b._k else b._k
         if inf >> (k - 1):
             k = _width(inf)
@@ -202,7 +201,7 @@ class EPoly:
         if vh >= w:
             w = _stride(vh)
         n = _repack(a, k, w) * _repack(b, k, w)
-        return _new(n, a._ou + b._ou, a._ov + b._ov, k, w, vh, inf, a._l1 * b._l1)
+        return _new(n, a._ou + b._ou, a._ov + b._ov, k, w, vh, inf)
 
     __rmul__ = __mul__
 
@@ -235,34 +234,33 @@ class EPoly:
 
 # -- the packed layout -------------------------------------------------------
 
-# A product whose smaller operand has at most this many terms, or fewer terms
-# than the square root of its slot count (sparse in its box), is computed by
-# shift-and-add over those terms instead of one multiply of the repacked
-# operands, whose cost grows with the slots.  Values this small also carry
-# their decoded terms through monomial products and repack from them.
-_SHIFT_ADD_TERMS = 6
-
 # Slot widths in bytes that memoryview.cast decodes in one call.
-_CAST = {1: "B", 2: "H", 4: "I", 8: "Q"} if sys.byteorder == "little" else {}
+_CAST = {4: "I", 8: "Q"} if sys.byteorder == "little" else {}
 
 _alloc = object.__new__
 
 
-def _new(n, ou, ov, k, w, vh, inf, l1) -> EPoly:
+def _new(n, ou, ov, k, w, vh, inf) -> EPoly:
     x = _alloc(EPoly)
-    x._n, x._ou, x._ov, x._k, x._w, x._vh, x._inf, x._l1 = n, ou, ov, k, w, vh, inf, l1
+    x._n, x._ou, x._ov, x._k, x._w, x._vh, x._inf = n, ou, ov, k, w, vh, inf
     x._terms = None
     return x
 
 
+# The layout is coarse so that the values of one computation share it, since
+# a sum or product across two layouts first repacks an operand.  In a pass of
+# the five motivic_large benchmark cases under a finer rule (8-bit slot steps,
+# strides from 1) every value fit 32-bit slots and 94% had a stride <= 16.
+
+
 def _width(inf: int) -> int:
-    """Smallest multiple of 8 bits whose balanced digits hold |c| <= inf."""
-    return (inf.bit_length() + 8) & ~7
+    """Smallest multiple of 32 bits whose balanced digits hold |c| <= inf."""
+    return (inf.bit_length() + 32) & ~31
 
 
 def _stride(vh: int) -> int:
-    """Smallest power of two above vh."""
-    return 1 << vh.bit_length()
+    """Smallest power of two above vh, and at least 32."""
+    return max(32, 1 << vh.bit_length())
 
 
 def _coerce(x) -> EPoly:
@@ -274,14 +272,10 @@ def _coerce(x) -> EPoly:
 
 
 def _encode(terms, ou: int, ov: int, k: int, w: int) -> int:
-    """The integer of terms in the layout (ou, ov, k, w).  Few terms are
-    shifted and summed; more are written as biased digits into one byte
-    buffer, so the cost stays linear in its length."""
-    if len(terms) <= _SHIFT_ADD_TERMS:
-        n = 0
-        for (pu, pv), c in terms.items():
-            n += c << k * ((pu - ou) * w + pv - ov)
-        return n
+    """The integer of terms in the layout (ou, ov, k, w), written as biased
+    digits into one byte buffer, so the cost stays linear in its length."""
+    if not terms:
+        return 0
     kb, half = k >> 3, 1 << (k - 1)
     slots = {(pu - ou) * w + pv - ov: c for (pu, pv), c in terms.items()}
     pattern = half.to_bytes(kb, "little") * (max(slots) + 1)
@@ -313,9 +307,6 @@ def _decode(x: EPoly) -> dict[tuple[int, int], int]:
     kb, half = k >> 3, 1 << (k - 1)
     # a nonzero top slot t makes |n| > 2**(k*t - 1), so t <= bit_length // k
     raw = _digits(n, k, n.bit_length() // k + 1)
-    if kb not in _CAST and kb < 8:
-        wide = 4 if kb < 4 else 8
-        raw, kb = _widen(raw, kb, wide), wide
     if kb in _CAST:
         digits = memoryview(raw).cast(_CAST[kb]).tolist()
     else:
@@ -335,9 +326,6 @@ def _repack(x: EPoly, k: int, w: int) -> int:
     bits = n.bit_length()
     if bits < k1:  # at most one slot: the same integer in every layout
         return n
-    t = x._terms
-    if t is not None and len(t) <= _SHIFT_ADD_TERMS:
-        return _encode(t, x._ou, x._ov, k, w)
     kb1, kb = k1 >> 3, k >> 3
     rows = bits // (k1 * w1) + 1
     src = _digits(n, k1, rows * w1)
@@ -351,27 +339,21 @@ def _repack(x: EPoly, k: int, w: int) -> int:
 
 
 def _scale(x: EPoly, c: int, pu: int, pv: int) -> EPoly:
-    """x times the monomial c * u**pu * v**pv.  A small decoded x passes its
-    terms on, for the shift-and-add products that small values go into."""
-    k = x._k
-    if c == 1:
-        n, inf, l1 = x._n, x._inf, x._l1
-    else:
-        m = abs(c)
-        inf, l1 = x._inf * m, x._l1 * m
+    """x times the monomial c * u**pu * v**pv: the offsets move, and a
+    coefficient other than 1 multiplies the integer, after widening the
+    slots if the bound needs it."""
+    k, n, inf = x._k, x._n, x._inf
+    if c != 1:
+        inf *= abs(c)
         if inf >> (k - 1):
             k = _width(inf)
         n = _repack(x, k, x._w) * c
-    y = _new(n, x._ou + pu, x._ov + pv, k, x._w, x._vh, inf, l1)
-    t = x._terms
-    if t is not None and len(t) <= _SHIFT_ADD_TERMS:
-        y._terms = MappingProxyType({(u + pu, v + pv): d * c for (u, v), d in t.items()})
-    return y
+    return _new(n, x._ou + pu, x._ov + pv, k, x._w, x._vh, inf)
 
 
-def _shift_add(x: EPoly, s: EPoly, terms) -> EPoly:
-    """x times s, whose terms are given: one shifted copy of x per term."""
-    inf = min(x._inf * s._l1, x._l1 * s._inf)
+def _shift_add(x: EPoly, s: EPoly, terms, inf: int) -> EPoly:
+    """x times s, whose terms are given, with inf bounding every |c| of the
+    product: one shifted copy of x per term."""
     k = x._k
     if inf >> (k - 1):
         k = _width(inf)
@@ -390,7 +372,7 @@ def _shift_add(x: EPoly, s: EPoly, terms) -> EPoly:
             n -= shifted
         else:
             n += shifted * c
-    return _new(n, x._ou + su, x._ov + sv, k, w, vh, inf, x._l1 * s._l1)
+    return _new(n, x._ou + su, x._ov + sv, k, w, vh, inf)
 
 
 ZERO = EPoly()
@@ -402,7 +384,7 @@ def lefschetz_power(k: int) -> EPoly:
     """The monomial (uv)**k; Laurent for negative k."""
     if not isinstance(k, int):
         raise TypeError(f"lefschetz_power needs an int, got {k!r}")
-    return _new(1, k, k, 8, 1, 0, 1, 1)
+    return _new(1, k, k, _width(1), _stride(0), 0, 1)
 
 
 def euler_number(a: EPoly) -> int:

@@ -38,8 +38,11 @@ class Window:
     hi: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", tuple(int(x) for x in self.lo))
-        object.__setattr__(self, "hi", tuple(int(x) for x in self.hi))
+        lo, hi = tuple(self.lo), tuple(self.hi)
+        if not all(isinstance(x, int) for x in lo + hi):
+            raise TypeError(f"window bounds must be ints, got lo={lo!r}, hi={hi!r}")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
         if len(self.lo) != len(self.hi):
             raise WindowMismatch("window bounds of different lengths")
         if not self.lo:

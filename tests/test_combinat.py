@@ -16,6 +16,7 @@ from hyperquot.combinat import (
     stratum_weight_identity,
     virtual_dimension,
 )
+from hyperquot.qseries import Window
 
 
 def all_profiles(rmax, lmax, rmin=1):
@@ -101,6 +102,23 @@ def test_block_permutation_validation():
         BlockPermutation(p, (2, 1, 3, 4))
     with pytest.raises(InvalidProfile):
         BlockPermutation(p, (1, 1, 2, 3))
+
+
+def test_specs_and_windows_reject_non_integers():
+    bad = [
+        lambda: Window((0,), (2.7,)),
+        lambda: Window((0.0,), (2,)),
+        lambda: NestingProfile(2, (1.9,)),
+        lambda: NestingProfile(2.5, (1,)),
+        lambda: BundleSpec((0, "1")),
+        lambda: CurveSpec(1.5),
+    ]
+    for build in bad:
+        with pytest.raises(TypeError):
+            build()
+    assert Window([0], [2]).hi == (2,)
+    assert NestingProfile(2, [1]).s == (1,)
+    assert BundleSpec([0, 1]).degrees == (0, 1)
 
 
 def test_weight_examples():

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperquot import epoly
 from hyperquot.combinat import InvalidProfile, NestingProfile, block_permutations
 from hyperquot.epoly import (
     LEFSCHETZ,
@@ -311,8 +312,9 @@ def dense_terms(draw):
     return draw(st.dictionaries(cells, coeffs, min_size=10, max_size=40))
 
 
-# one term (the offset-only path), at most six or sparse in their box
-# (shift-and-add), and dense (one multiply of the repacked operands)
+# one term (the offset-only path), few terms or sparse in their box
+# (shift-and-add), and dense (one multiply of the repacked operands, from
+# about 16 terms in an 8 x 8 box)
 term_sets = st.one_of(wide_terms(1, 1), wide_terms(0, 6), wide_terms(7, 40), dense_terms())
 
 
@@ -339,20 +341,35 @@ def layout(p):
     return p._k, p._w
 
 
+@pytest.fixture
+def shift_adds(monkeypatch):
+    """Term counts of the products that take shift-and-add, recorded as they run."""
+    calls = []
+    inner = epoly._shift_add
+
+    def spy(x, s, terms, inf):
+        calls.append(len(terms))
+        return inner(x, s, terms, inf)
+
+    monkeypatch.setattr(epoly, "_shift_add", spy)
+    return calls
+
+
 def test_v_span_doubles_past_the_starting_stride():
-    a, b = {(0, 0): 1, (0, 3): 1}, {(0, 0): 1, (2, 5): -2, (1, 1): 3}
+    a, b = {(0, 0): 1, (0, 30): 1}, {(0, 0): 1, (2, 5): -2, (1, 1): 3}
     pa, pb = EPoly(a), EPoly(b)
     prod = pa * pb
     assert prod._w > max(pa._w, pb._w)
     assert_matches(prod, ref_mul(a, b))
-    c = {(1, 9): 4}
-    total = pa + EPoly(c)  # the union's v-span, 9, doubles the stride twice
+    c = {(1, 90): 4}
+    total = pa + EPoly(c)  # the union's v-span, 90, doubles the stride twice
     assert total._w >= 4 * pa._w
     assert_matches(total, ref_add(a, c))
 
 
 def test_coefficient_crosses_the_slot_through_a_sum():
-    a = {(0, 0): 127, (1, 2): -127, (0, 1): 5}
+    m = 2**31 - 1
+    a = {(0, 0): m, (1, 2): -m, (0, 1): 5}
     pa = EPoly(a)
     total = pa + pa
     assert total._k > pa._k
@@ -361,13 +378,53 @@ def test_coefficient_crosses_the_slot_through_a_sum():
 
 
 @pytest.mark.parametrize("size", [3, 9])
-def test_coefficient_crosses_the_slot_through_a_product(size):
+def test_coefficient_crosses_the_slot_through_a_product(size, shift_adds):
     # three terms go through shift-and-add, nine through one multiply
-    a = {(i % 3, i // 3): 100 for i in range(size)}
+    a = {(i % 3, i // 3): 2**16 for i in range(size)}
     pa = EPoly(a)
     prod = pa * pa
     assert prod._k > pa._k
+    assert len(shift_adds) == (size == 3)
     assert_matches(prod, ref_mul(a, a))
+
+
+def edge_value(c, vspan):
+    """Dense in its first row, v-span vspan, largest |c| equal to c."""
+    x = {(0, j): (-1) ** j * (j + 1) for j in range(vspan + 1)}
+    x[(0, 0)], x[(1, vspan // 2)] = c, -c
+    return x
+
+
+@pytest.mark.parametrize(
+    "c, vspan, k, w",
+    [(2**31 - 1, 7, 32, 32), (2**31, 7, 64, 32), (5, 31, 32, 32), (5, 32, 32, 64)],
+)
+def test_layout_edges_through_every_path(c, vspan, k, w, shift_adds):
+    x = edge_value(c, vspan)
+    px = EPoly(x)
+    assert layout(px) == (k, w)
+    y = {(0, 0): 3, (2, 40): -1}
+    assert_matches(px + px, ref_add(x, x))
+    assert_matches(px + EPoly(y), ref_add(x, y))
+    assert_matches(px - px, {})
+    s = {(0, 0): 1, (0, 5): -2}  # two terms in six slots: shift-and-add
+    assert_matches(px * EPoly(s), ref_mul(x, s))
+    assert shift_adds == [2]
+    assert_matches(px * px, ref_mul(x, x))  # dense: one bigint multiply
+    assert shift_adds == [2]
+
+
+@pytest.mark.parametrize("coeff", [2**31 - 1, 2**40, 2**70])
+def test_decode_without_memoryview_cast(coeff, monkeypatch):
+    # 4-, 8- and 12-byte slots, read one slot at a time as on big-endian hosts
+    monkeypatch.setattr(epoly, "_CAST", {})
+    a = {(0, 0): coeff, (0, 3): -1, (1, 0): 7, (2, 33): -coeff, (-1, 2): 2}
+    b = {(0, 0): -coeff, (3, 1): 1}
+    pa = -EPoly(ref_neg(a))  # built without its terms, so they are decoded
+    assert pa._k // 8 == {2**31 - 1: 4, 2**40: 8, 2**70: 12}[coeff]
+    assert dict(pa.terms) == a
+    assert dict((EPoly(a) + EPoly(b)).terms) == ref_add(a, b)
+    assert dict((EPoly(a) * EPoly(b)).terms) == ref_mul(a, b)
 
 
 def test_offsets_down_to_minus_eight():
