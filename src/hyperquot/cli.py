@@ -2,14 +2,15 @@
 fixed-locus statistics.  Exit codes: 0 success / suite passed, 1 suite
 failed, 2 invalid input, 3 internal error (traceback on stderr).
 
-The parsed arguments are the run's configuration: ``main`` turns the
-integer-list flags into tuples on the argparse namespace and hands it to
-the command.
+The parsed arguments are the run's configuration.  ``main`` is the one
+pipeline: parse, run the command (its exit code and two thunks, the JSON
+result and the text lines), take the smoothness verdict, emit.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -99,7 +100,12 @@ def _setup(config: argparse.Namespace):
     return curve, bundle, profile, Window(lo, config.dmax)
 
 
-def _verdict(config: argparse.Namespace, curve, bundle, profile) -> SmoothnessVerdict:
+def _verdict(config: argparse.Namespace) -> SmoothnessVerdict:
+    """Not evaluated without the whole geometry; otherwise the geometry is
+    validated, then assumed smooth by flag or given its criteria verdict."""
+    if config.genus is None or config.degrees is None or config.s is None:
+        return SmoothnessVerdict("Unknown", "not evaluated")
+    curve, bundle, profile = _geometry(config)
     if config.assume_smooth:
         return SmoothnessVerdict("Smooth", "assumed by flag")
     return smoothness_status(curve, bundle, profile)
@@ -150,9 +156,8 @@ def _emit(config: argparse.Namespace, verdict: SmoothnessVerdict, result, text_l
 # -- compute ------------------------------------------------------------------
 
 
-def cmd_compute(config: argparse.Namespace) -> int:
+def cmd_compute(config: argparse.Namespace):
     curve, bundle, profile, window = _setup(config)
-    verdict = _verdict(config, curve, bundle, profile)
     if config.realization == "euler":
         series = euler_partition_function(curve, bundle, profile, window)
     else:
@@ -188,8 +193,7 @@ def cmd_compute(config: argparse.Namespace) -> int:
             *(f"  d={tuple(row['d'])}: {row['vd']}" for row in vd_table),
         ]
 
-    _emit(config, verdict, result, lines)
-    return 0
+    return 0, result, lines
 
 
 # -- verify -------------------------------------------------------------------
@@ -208,7 +212,7 @@ def _series_mismatch(lhs: MSeries, rhs: MSeries, lhs_name: str, rhs_name: str):
     return None
 
 
-def cmd_verify(config: argparse.Namespace) -> int:
+def cmd_verify(config: argparse.Namespace):
     suite = config.suite
     checked = 0
     mismatch = None
@@ -233,7 +237,7 @@ def cmd_verify(config: argparse.Namespace) -> int:
             if bundle.max_gap:
                 raise InputError("this suite needs all summand degrees equal")
             product = genus0_closed_form(bundle, profile, window)
-        if suite == "duality" and not _verdict(config, curve, bundle, profile).is_smooth:
+        if suite == "duality" and not _verdict(config).is_smooth:
             raise InputError("suite duality needs a Smooth verdict or --assume-smooth")
         series = product if suite == "b0" else motivic_partition_function(
             curve, bundle, profile, window, parallel=config.parallel
@@ -272,22 +276,17 @@ def cmd_verify(config: argparse.Namespace) -> int:
 
     passed = mismatch is None
     result = {"suite": suite, "passed": passed, "checked": checked, "mismatch": mismatch}
-    verdict = SmoothnessVerdict("Unknown", "not evaluated")
-    if config.genus is not None and config.degrees is not None and config.s is not None:
-        verdict = _verdict(config, *_geometry(config))
     lines = [f"suite {suite}: {'PASS' if passed else 'FAIL'} ({checked} checks)"]
     if mismatch:
         lines.append(f"first discrepancy: {mismatch}")
-    _emit(config, verdict, lambda: result, lambda: lines)
-    return 0 if passed else 1
+    return (0 if passed else 1), lambda: result, lambda: lines
 
 
 # -- info ----------------------------------------------------------------------
 
 
-def cmd_info(config: argparse.Namespace) -> int:
+def cmd_info(config: argparse.Namespace):
     curve, bundle, profile, window = _setup(config)
-    verdict = _verdict(config, curve, bundle, profile)
     counts = fixed_component_counts(bundle, profile, window)
     table = [
         {
@@ -309,14 +308,15 @@ def cmd_info(config: argparse.Namespace) -> int:
         f"  d={tuple(row['d'])}: vd={row['vd']}, components={row['fixed_components']}"
         for row in table
     ]
-    _emit(config, verdict, lambda: result, lambda: lines)
-    return 0
+    return 0, lambda: result, lambda: lines
 
 
 # -- entry point ----------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser, built on first use and then reused."""
     parser = argparse.ArgumentParser(
         prog="hyperquot",
         description="Exact partition functions of hyperquot schemes on curves.",
@@ -339,7 +339,9 @@ def build_parser() -> argparse.ArgumentParser:
     compute.add_argument("--realization", choices=REALIZATIONS, default="motivic")
     verify = common(sub.add_parser("verify", help="run a cross-check suite"))
     verify.add_argument("--suite", choices=SUITES, required=True)
-    common(sub.add_parser("info", help="dimensions and fixed-locus statistics"))
+    info = common(sub.add_parser("info", help="dimensions and fixed-locus statistics"))
+    for p, run in ((compute, cmd_compute), (verify, cmd_verify), (info, cmd_info)):
+        p.set_defaults(run=run)
     return parser
 
 
@@ -365,19 +367,15 @@ def _normalize_argv(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    config = parser.parse_args(_normalize_argv(list(argv)))
+    argv = sys.argv[1:] if argv is None else list(argv)
+    config = build_parser().parse_args(_normalize_argv(argv))
     try:
         for name in ("degrees", "s", "dmax", "dmin"):
             if getattr(config, name) is not None:
                 setattr(config, name, _parse_int_list(getattr(config, name)))
-        if config.command == "compute":
-            return cmd_compute(config)
-        if config.command == "verify":
-            return cmd_verify(config)
-        return cmd_info(config)
+        code, result, lines = config.run(config)
+        _emit(config, _verdict(config), result, lines)
+        return code
     except (InputError, InvalidProfile, InvalidTuple, WindowMismatch, NegativeExponent) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

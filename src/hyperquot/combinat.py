@@ -135,7 +135,7 @@ class BlockPermutation:
     __slots__ = ("profile", "values", "_weights", "_offsets")
 
     def __init__(self, profile: NestingProfile, values: tuple[int, ...]):
-        values = tuple(int(x) for x in values)
+        values = _int_tuple("block permutation", values)
         if sorted(values) != list(range(1, profile.rank + 1)):
             raise InvalidProfile(f"not a permutation of 1..{profile.rank}: {values}")
         for j in range(profile.length + 1):

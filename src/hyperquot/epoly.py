@@ -148,15 +148,10 @@ class EPoly:
         ak, bk, aw, bw = a._k, b._k, a._w, b._w
         au, av, bu, bv = a._ou, a._ov, b._ou, b._ov
         inf = a._inf + b._inf
-        k = ak if ak >= bk else bk
-        if inf >> (k - 1):
-            k = _width(inf)
         ou = au if au <= bu else bu
         ov = av if av <= bv else bv
         vh = max(av + a._vh, bv + b._vh) - ov
-        w = aw if aw >= bw else bw
-        if vh >= w:
-            w = _stride(vh)
+        k, w = _layout(ak if ak >= bk else bk, aw if aw >= bw else bw, inf, vh)
         if ak != k or aw != w:
             an = _repack(a, k, w)
         if bk != k or bw != w:
@@ -193,13 +188,8 @@ class EPoly:
         inf = b._inf * sum(map(abs, t.values()))
         if len(t) ** 2 <= slots:
             return _shift_add(b, a, t, inf)
-        k = a._k if a._k >= b._k else b._k
-        if inf >> (k - 1):
-            k = _width(inf)
         vh = a._vh + b._vh
-        w = a._w if a._w >= b._w else b._w
-        if vh >= w:
-            w = _stride(vh)
+        k, w = _layout(a._k if a._k >= b._k else b._k, a._w if a._w >= b._w else b._w, inf, vh)
         n = _repack(a, k, w) * _repack(b, k, w)
         return _new(n, a._ou + b._ou, a._ov + b._ov, k, w, vh, inf)
 
@@ -261,6 +251,15 @@ def _width(inf: int) -> int:
 def _stride(vh: int) -> int:
     """Smallest power of two above vh, and at least 32."""
     return max(32, 1 << vh.bit_length())
+
+
+def _layout(k: int, w: int, inf: int, vh: int) -> tuple[int, int]:
+    """Slot width k and stride w, each widened only if inf or vh needs it."""
+    if inf >> (k - 1):
+        k = _width(inf)
+    if vh >= w:
+        w = _stride(vh)
+    return k, w
 
 
 def _coerce(x) -> EPoly:
@@ -342,25 +341,19 @@ def _scale(x: EPoly, c: int, pu: int, pv: int) -> EPoly:
     """x times the monomial c * u**pu * v**pv: the offsets move, and a
     coefficient other than 1 multiplies the integer, after widening the
     slots if the bound needs it."""
-    k, n, inf = x._k, x._n, x._inf
+    k, w, n, inf = x._k, x._w, x._n, x._inf
     if c != 1:
         inf *= abs(c)
-        if inf >> (k - 1):
-            k = _width(inf)
-        n = _repack(x, k, x._w) * c
-    return _new(n, x._ou + pu, x._ov + pv, k, x._w, x._vh, inf)
+        k, w = _layout(k, w, inf, x._vh)
+        n = _repack(x, k, w) * c
+    return _new(n, x._ou + pu, x._ov + pv, k, w, x._vh, inf)
 
 
 def _shift_add(x: EPoly, s: EPoly, terms, inf: int) -> EPoly:
     """x times s, whose terms are given, with inf bounding every |c| of the
     product: one shifted copy of x per term."""
-    k = x._k
-    if inf >> (k - 1):
-        k = _width(inf)
     vh = x._vh + s._vh
-    w = x._w
-    if vh >= w:
-        w = _stride(vh)
+    k, w = _layout(x._k, x._w, inf, vh)
     base = _repack(x, k, w)
     su, sv = s._ou, s._ov
     n = 0
@@ -382,9 +375,7 @@ LEFSCHETZ = EPoly.monomial(1, 1)
 
 def lefschetz_power(k: int) -> EPoly:
     """The monomial (uv)**k; Laurent for negative k."""
-    if not isinstance(k, int):
-        raise TypeError(f"lefschetz_power needs an int, got {k!r}")
-    return _new(1, k, k, _width(1), _stride(0), 0, 1)
+    return EPoly.monomial(k, k)
 
 
 def euler_number(a: EPoly) -> int:

@@ -90,7 +90,9 @@ def _shift_pairs(src: Window, dst: Window, delta: tuple[int, ...]) -> list[tuple
 
 
 def _validate_direction(window: Window, m: tuple[int, ...]):
-    m = tuple(int(x) for x in m)
+    m = tuple(m)
+    if not all(isinstance(x, int) for x in m):
+        raise TypeError(f"direction must be ints, got {m!r}")
     if len(m) != window.arity:
         raise InvalidMonomial(f"direction {m} has wrong arity for window")
     if any(x < 0 for x in m) or not any(m):

@@ -332,3 +332,63 @@ def test_compute_text_output(capsys):
     )
     assert code == 0
     assert "d=(1,): 1 + L + L^2 + L^3" in out
+
+
+@pytest.mark.parametrize(
+    "args,status,reason",
+    [
+        (["verify", "--suite", "zeta_rat", "--genus", "1"], "Unknown", "not evaluated"),
+        (["verify", "--suite", "lemma_h", "--degrees", "0,0", "--s", "1"],
+         "Unknown", "not evaluated"),
+        (["compute", "--genus", "2", "--degrees", "0,0", "--s", "1", "--dmax", "1",
+          "--assume-smooth"], "Smooth", "assumed by flag"),
+        (["verify", "--suite", "zeta_rat", "--genus", "1", "--degrees", "0,0", "--s", "3",
+          "--assume-smooth"], None, None),
+    ],
+)
+def test_smoothness_verdict_of_each_report(capsys, args, status, reason):
+    # a report without the whole geometry is not evaluated; a given geometry
+    # is validated before --assume-smooth applies
+    code, out, err = run(capsys, *args, "--format", "json")
+    if status is None:
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+    else:
+        assert code == 0, err
+        assert json.loads(out)["smoothness"] == {"status": status, "reason": reason}
+
+
+def test_bad_integer_list_exit_code(capsys):
+    code, out, err = run(
+        capsys, "compute", "--genus", "0", "--degrees", "0,x", "--s", "1", "--dmax", "1",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: expected comma-separated integers, got '0,x'\n"
+
+
+def test_parser_is_built_once_and_not_at_import():
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = "\n".join([
+        "import argparse, contextlib, io",
+        "built = []",
+        "add_subparsers = argparse.ArgumentParser.add_subparsers",
+        "def spy(self, **kwargs):",
+        "    built.append(1)",
+        "    return add_subparsers(self, **kwargs)",
+        "argparse.ArgumentParser.add_subparsers = spy",
+        "import hyperquot.cli as cli",
+        "at_import = len(built)",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    for args in (['info', '--genus', '0', '--degrees', '0,0', '--s', '1', '--dmax', '1'],",
+        "                 ['verify', '--suite', 'zeta_rat', '--genus', '1'],",
+        "                 ['compute', '--genus', '0', '--degrees', '0,0', '--s', '1', '--dmax', '1']):",
+        "        assert cli.main(args) == 0",
+        "print(at_import, len(built))",
+    ])
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.split() == ["0", "1"]

@@ -112,6 +112,7 @@ def test_specs_and_windows_reject_non_integers():
         lambda: NestingProfile(2.5, (1,)),
         lambda: BundleSpec((0, "1")),
         lambda: CurveSpec(1.5),
+        lambda: BlockPermutation(NestingProfile(2, (1,)), (1.7, 2)),
     ]
     for build in bad:
         with pytest.raises(TypeError):

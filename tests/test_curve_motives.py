@@ -22,7 +22,7 @@ from hyperquot.epoly import (
     lefschetz_power,
     poincare_polynomial,
 )
-from hyperquot.qseries import InvalidMonomial, Window, one_series
+from hyperquot.qseries import InvalidMonomial, Window, geometric_divide, one_series
 
 L = LEFSCHETZ
 
@@ -131,6 +131,16 @@ def test_zeta_eval_examples():
         zeta_eval(0, 0, (0,), w)
     with pytest.raises(InvalidMonomial):
         zeta_eval(0, 0, (1, -1), Window((0, 0), (2, 2)))
+
+
+def test_divisions_reject_non_integer_directions():
+    # a fractional direction is an error, not truncated to (1,)
+    series = one_series(Window((0,), (3,)))
+    for direction in [(1.7,), (1.0,)]:
+        with pytest.raises(TypeError):
+            geometric_divide(series, 1, direction)
+        with pytest.raises(TypeError):
+            zeta_divide(series, 1, 0, direction)
 
 
 def test_zeta_eval_matches_substitution():
