@@ -114,6 +114,7 @@ class CurveSpec:
             raise InvalidProfile(f"genus must be >= 0, got {self.genus}")
 
 
+@dataclass(frozen=True)
 class BlockPermutation:
     """A permutation of {1..r} increasing on every corank block.
 
@@ -132,10 +133,12 @@ class BlockPermutation:
       stratum weights sum_{k=i..j} stratum_weight(k, alpha).
     """
 
-    __slots__ = ("profile", "values", "_weights", "_offsets")
+    profile: NestingProfile
+    values: tuple[int, ...]
 
-    def __init__(self, profile: NestingProfile, values: tuple[int, ...]):
-        values = _int_tuple("block permutation", values)
+    def __post_init__(self):
+        profile = self.profile
+        values = _int_tuple("block permutation", self.values)
         if sorted(values) != list(range(1, profile.rank + 1)):
             raise InvalidProfile(f"not a permutation of 1..{profile.rank}: {values}")
         for j in range(profile.length + 1):
@@ -145,24 +148,10 @@ class BlockPermutation:
                     raise InvalidProfile(
                         f"{values} not increasing on block {tuple(block)}"
                     )
-        self.profile = profile
-        self.values = values
-        self._weights: dict[tuple[int, int], int] = {}
-        self._offsets: dict = {}
+        object.__setattr__(self, "values", values)
 
     def __call__(self, alpha: int) -> int:
         return self.values[alpha - 1]
-
-    def __eq__(self, other):
-        if not isinstance(other, BlockPermutation):
-            return NotImplemented
-        return self.profile == other.profile and self.values == other.values
-
-    def __hash__(self):
-        return hash((self.profile, self.values))
-
-    def __repr__(self):
-        return f"BlockPermutation{self.values}"
 
     def _above_in(self, alpha: int, positions: range) -> int:
         va = self.values[alpha - 1]
@@ -179,29 +168,20 @@ class BlockPermutation:
         return self._above_in(alpha, range(p.corank(i) + 1, p.corank(i - 1) + 1))
 
     def stratum_weight(self, i: int, alpha: int) -> int:
-        key = (i, alpha)
-        w = self._weights.get(key)
-        if w is None:
-            p = self.profile
-            w = self._below_in(
-                alpha, range(p.corank(i + 1) + 1, p.corank(i) + 1)
-            ) + self.dropped_above(i, alpha)
-            self._weights[key] = w
-        return w
+        p = self.profile
+        return self._below_in(
+            alpha, range(p.corank(i + 1) + 1, p.corank(i) + 1)
+        ) + self.dropped_above(i, alpha)
 
     def stratum_offset(self, i: int, genus: int, degrees: tuple[int, ...]) -> int:
-        key = (i, genus, degrees)
-        w = self._offsets.get(key)
-        if w is None:
-            p = self.profile
-            w = 0
-            for alpha in range(p.corank(i + 1) + 1, p.corank(i) + 1):
-                va = self.values[alpha - 1]
-                for beta in range(p.corank(i) + 1, p.rank + 1):
-                    vb = self.values[beta - 1]
-                    if vb > va:
-                        w += degrees[vb - 1] - degrees[va - 1] + 1 - genus
-            self._offsets[key] = w
+        p = self.profile
+        w = 0
+        for alpha in range(p.corank(i + 1) + 1, p.corank(i) + 1):
+            va = self.values[alpha - 1]
+            for beta in range(p.corank(i) + 1, p.rank + 1):
+                vb = self.values[beta - 1]
+                if vb > va:
+                    w += degrees[vb - 1] - degrees[va - 1] + 1 - genus
         return w
 
     def zeta_exponent(self, i: int, j: int, alpha: int) -> int:
@@ -237,7 +217,7 @@ def block_permutations(profile: NestingProfile) -> tuple[BlockPermutation, ...]:
             out.append(BlockPermutation(profile, acc))
             return
         for chosen in itertools.combinations(remaining, sizes[bi]):
-            left = tuple(x for x in remaining if x not in set(chosen))
+            left = tuple(x for x in remaining if x not in chosen)
             place(bi + 1, left, acc + chosen)
 
     place(0, tuple(range(1, profile.rank + 1)), ())

@@ -4,8 +4,7 @@ The generating function of symmetric-product classes of a genus-g curve is
 rational with numerator (1 - u t)**g (1 - v t)**g and denominator
 (1 - t)(1 - L t); the numerator convention is pinned by requiring the
 t-linear coefficient to be the class of the curve itself,
-1 - g u - g v + uv.  Symmetric-product classes are memoized per genus and
-extended monotonically in the truncation order.
+1 - g u - g v + uv.  Symmetric-product classes are cached per (genus, n).
 """
 
 from __future__ import annotations
@@ -27,9 +26,6 @@ class InvalidTuple(ValueError):
     """Nested lengths must be nondecreasing and nonnegative."""
 
 
-_sym_cache: dict[int, list[EPoly]] = {}
-
-
 @lru_cache(maxsize=None)
 def zeta_numerator(genus: int) -> tuple[EPoly, ...]:
     """Coefficients of (1 - u t)**g (1 - v t)**g in t, degrees 0..2g;
@@ -48,23 +44,23 @@ def _projective_space(n: int) -> EPoly:
     return EPoly({(k, k): 1 for k in range(n + 1)})
 
 
+@lru_cache(maxsize=None)
+def sym_class(genus: int, n: int) -> EPoly:
+    """Class of Sym^n C for a genus-g curve."""
+    if genus < 0 or n < 0:
+        raise ValueError("genus and n must be >= 0")
+    num = zeta_numerator(genus)
+    c = EPoly()
+    for k in range(min(2 * genus, n) + 1):
+        c = c + num[k] * _projective_space(n - k)
+    return c
+
+
 def sym_classes(genus: int, order: int) -> list[EPoly]:
     """Classes of Sym^0 C .. Sym^order C for a genus-g curve."""
     if genus < 0 or order < 0:
         raise ValueError("genus and order must be >= 0")
-    cache = _sym_cache.setdefault(genus, [])
-    if len(cache) <= order:
-        num = zeta_numerator(genus)
-        for n in range(len(cache), order + 1):
-            c = EPoly()
-            for k in range(min(2 * genus, n) + 1):
-                c = c + num[k] * _projective_space(n - k)
-            cache.append(c)
-    return cache[: order + 1]
-
-
-def sym_class(genus: int, n: int) -> EPoly:
-    return sym_classes(genus, n)[n]
+    return [sym_class(genus, n) for n in range(order + 1)]
 
 
 def zeta_rationality_check(genus: int, order: int) -> bool:

@@ -147,6 +147,7 @@ def motivic_partition_function(
         )
         offset = sum(sigma.stratum_offset(j, g, degrees) for j in range(1, profile.length + 1))
         term = (_prefactor(sigma, degrees), lefschetz_power(offset))
+        # factors stay in loop order: applying the sorted tuple made motivic_large slower
         groups.setdefault(tuple(sorted(factors)), (factors, []))[1].append(term)
     return _evaluate(dict(groups.values()), g, window, parallel)
 

@@ -1,5 +1,6 @@
 """Profiles, block permutations, weights, dimension formulas."""
 
+import dataclasses
 import itertools
 import math
 
@@ -102,6 +103,45 @@ def test_block_permutation_validation():
         BlockPermutation(p, (2, 1, 3, 4))
     with pytest.raises(InvalidProfile):
         BlockPermutation(p, (1, 1, 2, 3))
+
+
+def test_block_permutation_is_frozen():
+    sigma = block_permutations(NestingProfile(3, (1,)))[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sigma.values = (3, 2, 1)
+    assert sigma.values == (1, 2, 3)
+
+
+def test_equal_profiles_give_equal_sigmas():
+    cached = block_permutations(NestingProfile(4, (1, 3)))
+    fresh = block_permutations.__wrapped__(NestingProfile(4, (1, 3)))
+    assert cached == fresh
+    for a, b in zip(cached, fresh):
+        assert a is not b
+        assert hash(a) == hash(b)
+    assert len(set(cached) | set(fresh)) == len(cached)
+
+
+def recount_offset(sigma, i, genus, degrees):
+    p = sigma.profile
+    return sum(
+        degrees[sigma(beta) - 1] - degrees[sigma(alpha) - 1] + 1 - genus
+        for alpha in p.block_range(i)
+        for beta in range(p.corank(i) + 1, p.rank + 1)
+        if sigma(beta) > sigma(alpha)
+    )
+
+
+def test_stratum_offset_interleaved_inputs():
+    profile = NestingProfile(4, (1, 3))
+    sigma = block_permutations(profile)[3]
+    inputs = [(0, (0, 1, 2, 3)), (3, (0, 1, 2, 3)), (0, (5, -2, 0, 1)), (3, (5, -2, 0, 1))]
+    for _ in range(2):
+        for genus, degrees in inputs + inputs[::-1]:
+            for i in range(1, profile.length + 1):
+                got = sigma.stratum_offset(i, genus, degrees)
+                assert got == recount_offset(sigma, i, genus, degrees)
+    assert len({sigma.stratum_offset(1, g, d) for g, d in inputs}) == len(inputs)
 
 
 def test_specs_and_windows_reject_non_integers():

@@ -101,6 +101,25 @@ def test_rationality():
         zeta_rationality_check(2, 5)
 
 
+def test_sym_classes_agree_across_orders():
+    for g in (0, 1, 3):
+        long, short = sym_classes(g, 8), sym_classes(g, 3)
+        assert len(long) == 9 and len(short) == 4
+        assert short == long[:4]
+        assert sym_class(g, 5) == long[5]
+
+
+def test_sym_class_is_cached():
+    assert sym_class(2, 6) is sym_class(2, 6)
+    assert sym_classes(2, 6)[6] is sym_class(2, 6)
+
+
+def test_sym_class_rejects_negative_arguments():
+    for bad in (lambda: sym_class(-1, 2), lambda: sym_class(1, -1), lambda: sym_classes(-1, 2)):
+        with pytest.raises(ValueError):
+            bad()
+
+
 def test_nested_hilb_class():
     for g in (0, 2):
         for n in range(4):
