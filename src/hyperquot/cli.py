@@ -4,17 +4,19 @@ failed, 2 invalid input, 3 internal error (traceback on stderr).
 
 The parsed arguments are the run's configuration.  ``main`` is the one
 pipeline: parse, run the command (its exit code and two thunks, the JSON
-result and the text lines), take the smoothness verdict, emit.
+result and the text lines), take the smoothness verdict, emit.  A command
+gets the verdict as a thunk too, and the verdict is evaluated at most once
+per run.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import re
 import sys
 import traceback
+from json.encoder import encode_basestring_ascii as _quote
 
 from .combinat import (
     BundleSpec,
@@ -44,7 +46,7 @@ from .formulas import (
     motivic_partition_function,
 )
 from .oracle import oracle_partition_function
-from .qseries import MSeries, Window, WindowMismatch, series_to_json
+from .qseries import MSeries, Window, WindowMismatch
 from .smoothness import SmoothnessVerdict, smoothness_status
 
 SUITES = ("oracle", "genus0", "euler_spec", "lemma_h", "duality", "zeta_rat", "b0")
@@ -114,18 +116,74 @@ def _verdict(config: argparse.Namespace) -> SmoothnessVerdict:
 # -- rendering ----------------------------------------------------------------
 
 
-def _upoly_to_json(p: dict[int, int]) -> list[dict]:
-    return [{"e": e, "c": str(p[e])} for e in sorted(p)]
+def _block(rows: list[str], pad: str) -> str:
+    """A JSON list at indentation ``pad`` whose items are rendered, each at
+    ``pad`` plus two spaces."""
+    if not rows:
+        return "[]"
+    return "[\n" + ",\n".join(rows) + f"\n{pad}]"
 
 
-def _specialized_series_json(series: MSeries, fn, var: str) -> dict:
-    return {
-        "window": {"lo": list(series.window.lo), "hi": list(series.window.hi)},
-        "variable": var,
-        "terms": [
-            {"d": list(d), "coeff": _upoly_to_json(fn(c))} for d, c in series.items()
-        ],
-    }
+def _render(x, pad: str = "") -> str:
+    """``x`` as ``json.dumps(x, indent=2)`` writes it (``ensure_ascii``
+    escapes included), nested at indentation ``pad``: dicts with str keys,
+    lists and tuples, str, int, bool and None.  A callable stands for a value
+    that renders itself at ``pad``."""
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        inner = pad + "  "
+        body = ",\n".join(f"{inner}{_quote(k)}: {_render(v, inner)}" for k, v in x.items())
+        return f"{{\n{body}\n{pad}}}"
+    if isinstance(x, (list, tuple)):
+        inner = pad + "  "
+        return _block([inner + _render(v, inner) for v in x], pad)
+    if isinstance(x, str):
+        return _quote(x)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if callable(x):
+        return x(pad)
+    return int.__repr__(x)
+
+
+def _series(series: MSeries, spec, pad: str) -> str:
+    """The ``series`` block of a compute report at indentation ``pad``,
+    written straight from the coefficients' terms with one template per
+    term: ``_render(series_to_json(series), pad)`` for ``spec`` None; for
+    ``spec`` = (fn, variable) the window, the variable, and each coefficient
+    specialized by ``fn`` to sorted ``{"e", "c"}`` terms."""
+    p1, p2, p3, p4, p5 = (pad + "  " * i for i in range(1, 6))
+    sep, close = f",\n{p5}", f'"\n{p4}}}'
+    items = series.items()
+    if spec is None:
+        variable = ""
+        start = f'{p4}{{\n{p5}"pu": '
+        coeffs = (
+            [
+                f'{start}{pu}{sep}"pv": {pv}{sep}"c": "{c}{close}'
+                for (pu, pv), c in sorted(poly.terms.items())
+            ]
+            for _, poly in items
+        )
+    else:
+        fn, var = spec
+        variable = f'{p1}"variable": {_quote(var)},\n'
+        start = f'{p4}{{\n{p5}"e": '
+        coeffs = (
+            [f'{start}{e}{sep}"c": "{p[e]}{close}' for e in sorted(p)]
+            for p in (fn(poly) for _, poly in items)
+        )
+    cells = [
+        f'{p2}{{\n{p3}"d": {_render(d, p3)},\n{p3}"coeff": {_block(rows, p3)}\n{p2}}}'
+        for (d, _), rows in zip(items, coeffs)
+    ]
+    window = _render({"lo": series.window.lo, "hi": series.window.hi}, p1)
+    return f'{{\n{p1}"window": {window},\n{variable}{p1}"terms": {_block(cells, p1)}\n{pad}}}'
 
 
 def _header(profile: NestingProfile) -> list[str]:
@@ -138,16 +196,17 @@ def _header(profile: NestingProfile) -> list[str]:
 
 def _emit(config: argparse.Namespace, verdict: SmoothnessVerdict, result, text_lines) -> None:
     """Print the report in the requested format.  ``result`` and
-    ``text_lines`` are thunks, and only the one for ``--format`` runs.  The
-    report is built whole before printing, so a rendering error (a Laurent
-    coefficient under ``poincare``) leaves stdout empty."""
+    ``text_lines`` are thunks, and only the one for ``--format`` runs.  A
+    JSON report is written by ``_render`` and is byte-identical to
+    ``json.dumps(report, indent=2)``.  The report is built whole before
+    printing, so a rendering error (a Laurent coefficient under
+    ``poincare``) leaves stdout empty."""
     if config.format == "json":
-        doc = {
+        out = _render({
             "config": {key: getattr(config, key) for key in CONFIG_KEYS},
             "smoothness": {"status": verdict.status, "reason": verdict.reason},
             "result": result(),
-        }
-        out = json.dumps(doc, indent=2)
+        })
     else:
         out = "\n".join([f"smoothness: {verdict.status} ({verdict.reason})", *text_lines()])
     print(out)
@@ -156,7 +215,7 @@ def _emit(config: argparse.Namespace, verdict: SmoothnessVerdict, result, text_l
 # -- compute ------------------------------------------------------------------
 
 
-def cmd_compute(config: argparse.Namespace):
+def cmd_compute(config: argparse.Namespace, verdict):
     curve, bundle, profile, window = _setup(config)
     if config.realization == "euler":
         series = euler_partition_function(curve, bundle, profile, window)
@@ -176,8 +235,7 @@ def cmd_compute(config: argparse.Namespace):
             "flag_dimension": flag_dimension(profile),
             "block_permutation_count": len(block_permutations(profile)),
             "virtual_dimensions": vd_table,
-            "series": series_to_json(series) if spec is None
-            else _specialized_series_json(series, *spec),
+            "series": functools.partial(_series, series, spec),
         }
 
     def lines() -> list[str]:
@@ -212,7 +270,7 @@ def _series_mismatch(lhs: MSeries, rhs: MSeries, lhs_name: str, rhs_name: str):
     return None
 
 
-def cmd_verify(config: argparse.Namespace):
+def cmd_verify(config: argparse.Namespace, verdict):
     suite = config.suite
     checked = 0
     mismatch = None
@@ -237,7 +295,7 @@ def cmd_verify(config: argparse.Namespace):
             if bundle.max_gap:
                 raise InputError("this suite needs all summand degrees equal")
             product = genus0_closed_form(bundle, profile, window)
-        if suite == "duality" and not _verdict(config).is_smooth:
+        if suite == "duality" and not verdict().is_smooth:
             raise InputError("suite duality needs a Smooth verdict or --assume-smooth")
         series = product if suite == "b0" else motivic_partition_function(
             curve, bundle, profile, window, parallel=config.parallel
@@ -285,7 +343,7 @@ def cmd_verify(config: argparse.Namespace):
 # -- info ----------------------------------------------------------------------
 
 
-def cmd_info(config: argparse.Namespace):
+def cmd_info(config: argparse.Namespace, verdict):
     curve, bundle, profile, window = _setup(config)
     counts = fixed_component_counts(bundle, profile, window)
     table = [
@@ -373,8 +431,9 @@ def main(argv: list[str] | None = None) -> int:
         for name in ("degrees", "s", "dmax", "dmin"):
             if getattr(config, name) is not None:
                 setattr(config, name, _parse_int_list(getattr(config, name)))
-        code, result, lines = config.run(config)
-        _emit(config, _verdict(config), result, lines)
+        verdict = functools.cache(functools.partial(_verdict, config))
+        code, result, lines = config.run(config, verdict)
+        _emit(config, verdict(), result, lines)
         return code
     except (InputError, InvalidProfile, InvalidTuple, WindowMismatch, NegativeExponent) as exc:
         print(f"error: {exc}", file=sys.stderr)

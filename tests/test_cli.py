@@ -12,6 +12,7 @@ from hyperquot import cli
 from hyperquot.cli import main
 from hyperquot.epoly import EPoly
 from hyperquot.qseries import series_from_json, series_monomial
+from hyperquot.smoothness import smoothness_status
 
 
 def run(capsys, *args):
@@ -96,13 +97,14 @@ def test_bad_window_exit_code(capsys):
 
 
 def test_laurent_specialization_exit_code(capsys):
-    code, out, err = run(
-        capsys, "compute", "--genus", "2", "--degrees", "0,0", "--s", "1",
-        "--dmax", "1", "--realization", "poincare",
-    )
-    assert code == 2
-    assert "exponent" in err
-    assert out == ""
+    for fmt in ("text", "json"):
+        code, out, err = run(
+            capsys, "compute", "--genus", "2", "--degrees", "0,0", "--s", "1",
+            "--dmax", "1", "--realization", "poincare", "--format", fmt,
+        )
+        assert code == 2
+        assert "exponent" in err
+        assert out == ""
 
 
 @pytest.mark.parametrize(
@@ -136,6 +138,24 @@ def test_verify_duality_requires_certificate(capsys):
     code, doc = run_json(capsys, *args, "--assume-smooth")
     assert code == 1
     assert doc["result"]["mismatch"] == mismatch
+
+
+def test_verify_duality_evaluates_the_verdict_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return smoothness_status(*args)
+
+    monkeypatch.setattr(cli, "smoothness_status", counted)
+    for fmt in ("text", "json"):
+        calls.clear()
+        code, out, err = run(
+            capsys, "verify", "--suite", "duality", "--genus", "0", "--degrees", "0,1",
+            "--s", "1", "--dmax", "3", "--format", fmt,
+        )
+        assert code == 0, err
+        assert len(calls) == 1
 
 
 def _wrong_series(*args):
@@ -224,8 +244,8 @@ def test_compute_renders_only_the_requested_format(capsys, monkeypatch, realizat
         assert code == 0
         assert doc["result"]["series"]["terms"]
     with monkeypatch.context() as m:
-        m.setattr(cli, "series_to_json", _refuse)
-        m.setattr(cli, "_specialized_series_json", _refuse)
+        m.setattr(cli, "_render", _refuse)
+        m.setattr(cli, "_series", _refuse)
         code, out, err = run(capsys, *args)
         assert code == 0, err
         assert f"series ({realization}):" in out
