@@ -13,13 +13,7 @@ import math
 from functools import lru_cache
 
 from .epoly import LEFSCHETZ, ONE, EPoly, lefschetz_power
-from .qseries import (
-    MSeries,
-    Window,
-    _validate_direction,
-    geometric_divide,
-    multiply_sparse,
-)
+from .qseries import MSeries, Window, _validate_direction, geometric_divide, linear_multiply
 
 
 class InvalidTuple(ValueError):
@@ -112,23 +106,21 @@ def zeta_eval(genus: int, a: int, m: tuple[int, ...], window: Window) -> MSeries
     return MSeries(window, out)
 
 
+def zeta_factors(genus: int, a: int) -> tuple[tuple[int, int, int], ...]:
+    """The zeta function at x = L**a q**m as monomial factors (e, pu, pv),
+    each (1 - u**pu v**pv x)**e: the numerator (1 - u L**a x)**g
+    (1 - v L**a x)**g, then the denominator (1 - L**a x)(1 - L**(a+1) x)."""
+    if genus < 0:
+        raise ValueError("genus must be >= 0")
+    return ((1, a + 1, a),) * genus + ((1, a, a + 1),) * genus + ((-1, a, a), (-1, a + 1, a + 1))
+
+
 def zeta_divide(series: MSeries, genus: int, a: int, m: tuple[int, ...]) -> MSeries:
     """Multiply a series by the zeta function evaluated at L**a q**m,
-    truncating to the series window.
-
-    Uses the rational form: multiply by the degree-2g numerator, then divide
-    by (1 - L**a q**m) and (1 - L**(a+1) q**m) with linear-cost recurrences.
-    Exact within the window provided the operand has nonnegative support and
-    the window's lower bound is <= 0.
-    """
-    m = _validate_direction(series.window, m)
-    if genus > 0:
-        num = zeta_numerator(genus)
-        terms = []
-        for k in range(2 * genus + 1):
-            coeff = num[k] * lefschetz_power(a * k)
-            terms.append((tuple(k * x for x in m), coeff))
-        series = multiply_sparse(series, terms)
-    series = geometric_divide(series, lefschetz_power(a), m)
-    series = geometric_divide(series, lefschetz_power(a + 1), m)
+    truncating to the series window: one pass per factor of
+    ``zeta_factors``.  Exact within the window provided the operand has
+    nonnegative support and the window's lower bound is <= 0."""
+    for e, pu, pv in zeta_factors(genus, a):
+        step = linear_multiply if e > 0 else geometric_divide
+        series = step(series, EPoly.monomial(pu, pv), m)
     return series

@@ -338,11 +338,13 @@ def _repack(x: EPoly, k: int, w: int) -> int:
 
 
 def _scale(x: EPoly, c: int, pu: int, pv: int) -> EPoly:
-    """x times the monomial c * u**pu * v**pv: the offsets move, and a
-    coefficient other than 1 multiplies the integer, after widening the
-    slots if the bound needs it."""
+    """x times the monomial c * u**pu * v**pv: the offsets move, -1 negates
+    the integer, and any other coefficient but 1 multiplies it, after
+    widening the slots if the bound needs it."""
     k, w, n, inf = x._k, x._w, x._n, x._inf
-    if c != 1:
+    if c == -1:
+        n = -n
+    elif c != 1:
         inf *= abs(c)
         k, w = _layout(k, w, inf, x._vh)
         n = _repack(x, k, w) * c

@@ -17,9 +17,10 @@ Four generating functions over the multidegree lattice:
 All four are one kind of value, a *formula*: a mapping from an ordered
 tuple of factors to the terms ``(shift, coeff)`` that share that product.
 Its series is the sum over groups and terms of ``coeff * q**shift`` times
-the product of the factors.  A factor ``(kind, a, m)`` is the zeta function
-of the curve at ``L**a q**m`` (kind ``zeta``), ``1/(1 - L**a q**m)``
-(``geometric``) or ``1 - L**a q**m`` (``linear``).  ``_sigma_series``
+the product of the factors.  Every factor ``(e, pu, pv, m)`` is
+``(1 - u**pu v**pv q**m)**e`` with ``e`` = 1 or -1; ``L**a`` is
+``u**a v**a``, and the zeta function of the curve at ``L**a q**m`` is the
+2g + 2 factors of ``curve_motives.zeta_factors``.  ``_sigma_series``
 evaluates one group; no other function here does series arithmetic.
 
 None of these enforce smoothness; callers consult the smoothness module
@@ -31,19 +32,19 @@ from __future__ import annotations
 from collections import Counter
 
 from .combinat import BundleSpec, CurveSpec, NestingProfile, block_permutations, check_shape
-from .curve_motives import zeta_divide
-from .epoly import ONE, EPoly, flag_motive, lefschetz_power
+from .curve_motives import zeta_factors
+from .epoly import EPoly, flag_motive, lefschetz_power
 from .qseries import (
     MSeries,
     Window,
     geometric_divide,
-    multiply_sparse,
+    linear_multiply,
     one_series,
     shift_rewindow,
     zero_series,
 )
 
-Factor = tuple[str, int, tuple[int, ...]]
+Factor = tuple[int, int, int, tuple[int, ...]]
 Formula = dict[tuple[Factor, ...], list[tuple[tuple[int, ...], EPoly]]]
 
 
@@ -85,7 +86,6 @@ def _prefactor_terms(bundle: BundleSpec, profile: NestingProfile):
 
 
 def _sigma_series(
-    genus: int,
     factors: tuple[Factor, ...],
     terms: list[tuple[tuple[int, ...], EPoly]],
     window: Window,
@@ -99,32 +99,24 @@ def _sigma_series(
         return zero_series(window)
     top = tuple(max(h - t[0][k] for t in terms) for k, h in enumerate(hi))
     acc = one_series(Window((0,) * len(hi), top))
-    for kind, a, m in factors:
-        if kind == "zeta":
-            acc = zeta_divide(acc, genus, a, m)
-        elif kind == "geometric":
-            acc = geometric_divide(acc, lefschetz_power(a), m)
-        else:
-            acc = multiply_sparse(acc, [((0,) * len(hi), ONE), (m, -lefschetz_power(a))])
+    for e, pu, pv, m in factors:
+        step = linear_multiply if e > 0 else geometric_divide
+        acc = step(acc, EPoly.monomial(pu, pv), m)
     parts = [shift_rewindow(acc, shift, c, window) for shift, c in terms]
     return sum(parts[1:], parts[0])
 
 
-def _sigma_task(args):
-    return _sigma_series(*args)
-
-
-def _evaluate(formula: Formula, genus: int, window: Window, parallel: bool = False) -> MSeries:
+def _evaluate(formula: Formula, window: Window, parallel: bool = False) -> MSeries:
     """The series of a formula.  Exact integer arithmetic makes the
     reduction order irrelevant, so the parallel path is bit-identical."""
-    args = [(genus, factors, terms, window) for factors, terms in formula.items()]
-    if parallel and len(args) > 1:
+    windows = [window] * len(formula)
+    if parallel and len(formula) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor() as pool:
-            parts = list(pool.map(_sigma_task, args))
+            parts = list(pool.map(_sigma_series, formula, formula.values(), windows))
     else:
-        parts = [_sigma_series(*a) for a in args]
+        parts = list(map(_sigma_series, formula, formula.values(), windows))
     return sum(parts, zero_series(window))
 
 
@@ -137,19 +129,21 @@ def motivic_partition_function(
 ) -> MSeries:
     """Sum over block permutations of the Lefschetz-weighted prefactor times
     the product of twisted zeta evaluations.  Block permutations with the
-    same multiset of zeta factors share one product."""
+    same multiset of factors share one product."""
     check_shape(profile, bundle, window)
     g, degrees = curve.genus, bundle.degrees
     groups: dict[tuple[Factor, ...], tuple] = {}
     for sigma in block_permutations(profile):
         factors = tuple(
-            ("zeta", sigma.zeta_exponent(i, j, alpha), m) for i, j, alpha, m in _slots(profile)
+            (e, pu, pv, m)
+            for i, j, alpha, m in _slots(profile)
+            for e, pu, pv in zeta_factors(g, sigma.zeta_exponent(i, j, alpha))
         )
         offset = sum(sigma.stratum_offset(j, g, degrees) for j in range(1, profile.length + 1))
         term = (_prefactor(sigma, degrees), lefschetz_power(offset))
-        # factors stay in loop order: applying the sorted tuple made motivic_large slower
+        # factors stay in slot order, each zeta's together: sorting them was slower
         groups.setdefault(tuple(sorted(factors)), (factors, []))[1].append(term)
-    return _evaluate(dict(groups.values()), g, window, parallel)
+    return _evaluate(dict(groups.values()), window, parallel)
 
 
 def genus0_closed_form(bundle: BundleSpec, profile: NestingProfile, window: Window) -> MSeries:
@@ -163,10 +157,10 @@ def genus0_closed_form(bundle: BundleSpec, profile: NestingProfile, window: Wind
         raise ValueError(f"the product form needs equal summand degrees, got {bundle.degrees}")
     factors = []
     for i, _j, alpha, m in _slots(profile):
-        factors.append(("geometric", profile.corank(i) - alpha, m))
-        factors.append(("geometric", profile.corank(i - 1) - alpha + 1, m))
+        for a in (profile.corank(i) - alpha, profile.corank(i - 1) - alpha + 1):
+            factors.append((-1, a, a, m))
     shift = tuple(bundle.degrees[0] * x for x in profile.s)
-    return _evaluate({tuple(factors): [(shift, flag_motive(profile))]}, 0, window)
+    return _evaluate({tuple(factors): [(shift, flag_motive(profile))]}, window)
 
 
 def euler_partition_function(
@@ -183,10 +177,9 @@ def euler_partition_function(
     factors = []
     for j in range(1, l + 1):
         e = (2 * curve.genus - 2) * (profile.corank(j) - profile.corank(j + 1))
-        kind = "linear" if e > 0 else "geometric"
         for i in range(1, j + 1):
-            factors += [(kind, 0, _direction(l, i, j))] * abs(e)
-    return _evaluate({tuple(factors): _prefactor_terms(bundle, profile)}, curve.genus, window)
+            factors += [(1 if e > 0 else -1, 0, 0, _direction(l, i, j))] * abs(e)
+    return _evaluate({tuple(factors): _prefactor_terms(bundle, profile)}, window)
 
 
 def fixed_component_counts(
@@ -197,6 +190,6 @@ def fixed_component_counts(
     monomials, times 1/(1 - q_i..q_j) per (i, j, alpha).  Each factor counts
     one step of a nondecreasing length tuple."""
     check_shape(profile, bundle, window)
-    factors = tuple(("geometric", 0, m) for *_, m in _slots(profile))
-    return _evaluate({factors: _prefactor_terms(bundle, profile)}, 0, window)
+    factors = tuple((-1, 0, 0, m) for *_, m in _slots(profile))
+    return _evaluate({factors: _prefactor_terms(bundle, profile)}, window)
 

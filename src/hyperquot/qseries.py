@@ -217,6 +217,19 @@ def geometric_divide(a: MSeries, c: EPoly | int, m: tuple[int, ...]) -> MSeries:
     return _dense(a.window, out)
 
 
+def linear_multiply(a: MSeries, c: EPoly | int, m: tuple[int, ...]) -> MSeries:
+    """a * (1 - c*q**m) truncated to a's window: out[d] = a[d] - c * a[d - m]
+    in one descending pass, so each a[d - m] is read before it changes."""
+    m = _validate_direction(a.window, m)
+    neg = -c if isinstance(c, EPoly) else EPoly.from_int(-c)
+    out = list(a.values)
+    for i, j in reversed(_shift_pairs(a.window, a.window, m)):
+        if out[i]:
+            carry = neg * out[i]
+            out[j] = out[j] + carry if out[j] else carry
+    return _dense(a.window, out)
+
+
 def multiply_sparse(a: MSeries, terms: Iterable[tuple[tuple[int, ...], EPoly]]) -> MSeries:
     """Multiply by a sparse polynomial given as (degree shift, coefficient)
     pairs, truncating to a's window."""

@@ -4,6 +4,8 @@ classical specializations, twisted evaluations."""
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperquot.curve_motives import (
     InvalidTuple,
@@ -22,7 +24,13 @@ from hyperquot.epoly import (
     lefschetz_power,
     poincare_polynomial,
 )
-from hyperquot.qseries import InvalidMonomial, Window, geometric_divide, one_series
+from hyperquot.qseries import (
+    InvalidMonomial,
+    Window,
+    geometric_divide,
+    linear_multiply,
+    one_series,
+)
 
 L = LEFSCHETZ
 
@@ -159,7 +167,20 @@ def test_divisions_reject_non_integer_directions():
         with pytest.raises(TypeError):
             geometric_divide(series, 1, direction)
         with pytest.raises(TypeError):
+            linear_multiply(series, 1, direction)
+        with pytest.raises(TypeError):
             zeta_divide(series, 1, 0, direction)
+    for direction in [(0,), (-1,), (1, 0)]:
+        for step in (geometric_divide, linear_multiply):
+            with pytest.raises(InvalidMonomial):
+                step(series, 1, direction)
+
+
+def test_zeta_divide_rejects_negative_genus():
+    series = one_series(Window((0,), (3,)))
+    for genus in (-1, -2):
+        with pytest.raises(ValueError):
+            zeta_divide(series, genus, 0, (1,))
 
 
 def test_zeta_eval_matches_substitution():
@@ -177,9 +198,26 @@ def test_zeta_eval_matches_substitution():
 @pytest.mark.parametrize("a", [0, 1, 4])
 @pytest.mark.parametrize("m", [(1, 0), (1, 1)])
 def test_zeta_divide_matches_zeta_eval(g, a, m):
-    # rational form (numerator and two geometric divisions) against the
-    # definitional expansion
+    # the split form (2g linear passes, two geometric divisions) against
+    # the definitional expansion
     w = Window((0, 0), (3, 3))
+    assert zeta_divide(one_series(w), g, a, m) == zeta_eval(g, a, m, w)
+
+
+@st.composite
+def zeta_cases(draw):
+    """(genus, twist, direction, window): 1-2 variables, lower bound <= 0."""
+    arity = draw(st.integers(1, 2))
+    lo = tuple(draw(st.integers(-2, 0)) for _ in range(arity))
+    hi = tuple(draw(st.integers(0, 4)) for _ in range(arity))
+    m = draw(st.tuples(*[st.integers(0, 2)] * arity).filter(any))
+    return draw(st.integers(0, 3)), draw(st.integers(-2, 4)), m, Window(lo, hi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(zeta_cases())
+def test_zeta_divide_matches_zeta_eval_on_random_windows(case):
+    g, a, m, w = case
     assert zeta_divide(one_series(w), g, a, m) == zeta_eval(g, a, m, w)
 
 

@@ -15,6 +15,7 @@ from hyperquot.qseries import (
     WindowMismatch,
     geometric_divide,
     geometric_inverse,
+    linear_multiply,
     multiply_sparse,
     one_series,
     series_from_json,
@@ -179,6 +180,9 @@ def test_geometric_inverse_inverts(c, m):
 @given(series_in(W2), small_epolys, st.sampled_from([(1, 0), (0, 1), (1, 1)]))
 def test_geometric_divide_matches_inverse_multiplication(a, c, m):
     assert geometric_divide(a, c, m) == a * geometric_inverse(W2, c, m)
+    # the linear pass is the two-term product, and undoes the division
+    assert linear_multiply(a, c, m) == multiply_sparse(a, [((0, 0), ONE), (m, -c)])
+    assert linear_multiply(geometric_divide(a, c, m), c, m) == a
 
 
 @settings(max_examples=30, deadline=None)
