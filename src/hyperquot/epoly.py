@@ -16,6 +16,7 @@ The classical specializations are fixed by three anchors:
 
 from __future__ import annotations
 
+import re
 import sys
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping
@@ -112,7 +113,7 @@ class EPoly:
         return t
 
     def __reduce__(self):
-        return EPoly, (dict(self.terms),)
+        return _new, (self._n, self._ou, self._ov, self._k, self._w, self._vh, self._inf)
 
     def __bool__(self) -> bool:
         return self._n != 0
@@ -492,4 +493,12 @@ def epoly_to_json(a: EPoly) -> list[dict]:
 
 
 def epoly_from_json(data: list[dict]) -> EPoly:
-    return EPoly({(int(t["pu"]), int(t["pv"])): int(t["c"]) for t in data})
+    """Inverse of ``epoly_to_json``: int exponents and decimal-string
+    coefficients; TypeError or ValueError for anything else."""
+    return EPoly({(t["pu"], t["pv"]): _decimal(t["c"]) for t in data})
+
+
+def _decimal(c) -> int:
+    if not (isinstance(c, str) and re.fullmatch(r"-?[0-9]+", c)):
+        raise ValueError(f"coefficient must be a decimal string, got {c!r}")
+    return int(c)

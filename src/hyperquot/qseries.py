@@ -17,7 +17,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
-from .epoly import ZERO, EPoly, epoly_from_json, epoly_to_json
+from .combinat import _int_tuple
+from .epoly import ZERO, EPoly, _coerce, epoly_from_json, epoly_to_json
 
 
 class WindowMismatch(ValueError):
@@ -38,11 +39,8 @@ class Window:
     hi: tuple[int, ...]
 
     def __post_init__(self):
-        lo, hi = tuple(self.lo), tuple(self.hi)
-        if not all(isinstance(x, int) for x in lo + hi):
-            raise TypeError(f"window bounds must be ints, got lo={lo!r}, hi={hi!r}")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "lo", _int_tuple("window lo", self.lo))
+        object.__setattr__(self, "hi", _int_tuple("window hi", self.hi))
         if len(self.lo) != len(self.hi):
             raise WindowMismatch("window bounds of different lengths")
         if not self.lo:
@@ -89,10 +87,17 @@ def _shift_pairs(src: Window, dst: Window, delta: tuple[int, ...]) -> list[tuple
     return pairs
 
 
+def _axpy(out: list[EPoly], src: list[EPoly], c: EPoly, pairs: Iterable[tuple[int, int]]):
+    """out[j] += c * src[i] over the (source, target) index pairs, in their
+    order; the one multiply-and-accumulate loop of every series kernel."""
+    for i, j in pairs:
+        if src[i]:
+            carry = c * src[i]
+            out[j] = out[j] + carry if out[j] else carry
+
+
 def _validate_direction(window: Window, m: tuple[int, ...]):
-    m = tuple(m)
-    if not all(isinstance(x, int) for x in m):
-        raise TypeError(f"direction must be ints, got {m!r}")
+    m = _int_tuple("direction", m)
     if len(m) != window.arity:
         raise InvalidMonomial(f"direction {m} has wrong arity for window")
     if any(x < 0 for x in m) or not any(m):
@@ -175,9 +180,7 @@ def zero_series(window: Window) -> MSeries:
 
 def series_monomial(window: Window, d: tuple[int, ...], c: EPoly | int) -> MSeries:
     """Single-term series c * q**d; the zero series if d falls outside the window."""
-    if isinstance(c, int):
-        c = EPoly.from_int(c)
-    return MSeries(window, {tuple(d): c})
+    return MSeries(window, {tuple(d): _coerce(c)})
 
 
 def one_series(window: Window) -> MSeries:
@@ -187,8 +190,7 @@ def one_series(window: Window) -> MSeries:
 def geometric_inverse(window: Window, c: EPoly | int, m: tuple[int, ...]) -> MSeries:
     """The expansion of 1/(1 - c*q**m): sum of c**k q**(k*m), truncated."""
     m = _validate_direction(window, m)
-    if isinstance(c, int):
-        c = EPoly.from_int(c)
+    c = _coerce(c)
     bound = min(b // x for b, x in zip(window.hi, m) if x)
     out: dict[tuple[int, ...], EPoly] = {}
     ck = EPoly.from_int(1)
@@ -205,15 +207,11 @@ def geometric_divide(a: MSeries, c: EPoly | int, m: tuple[int, ...]) -> MSeries:
     out[d] = a[d] + c * out[d - m].  Agrees with multiplication by
     ``geometric_inverse`` but costs one pass over the window."""
     m = _validate_direction(a.window, m)
-    if isinstance(c, int):
-        c = EPoly.from_int(c)
+    c = _coerce(c)
     out = list(a.values)
     # m >= 0 and m != 0, so every source index is below its target and is
     # final by the time the ascending pairs reach it.
-    for i, j in _shift_pairs(a.window, a.window, m):
-        if out[i]:
-            carry = c * out[i]
-            out[j] = out[j] + carry if out[j] else carry
+    _axpy(out, out, c, _shift_pairs(a.window, a.window, m))
     return _dense(a.window, out)
 
 
@@ -221,37 +219,27 @@ def linear_multiply(a: MSeries, c: EPoly | int, m: tuple[int, ...]) -> MSeries:
     """a * (1 - c*q**m) truncated to a's window: out[d] = a[d] - c * a[d - m]
     in one descending pass, so each a[d - m] is read before it changes."""
     m = _validate_direction(a.window, m)
-    neg = -c if isinstance(c, EPoly) else EPoly.from_int(-c)
+    c = _coerce(c)
     out = list(a.values)
-    for i, j in reversed(_shift_pairs(a.window, a.window, m)):
-        if out[i]:
-            carry = neg * out[i]
-            out[j] = out[j] + carry if out[j] else carry
+    _axpy(out, out, -c, reversed(_shift_pairs(a.window, a.window, m)))
     return _dense(a.window, out)
 
 
 def multiply_sparse(a: MSeries, terms: Iterable[tuple[tuple[int, ...], EPoly]]) -> MSeries:
     """Multiply by a sparse polynomial given as (degree shift, coefficient)
     pairs, truncating to a's window."""
-    win, values = a.window, a.values
-    out = [ZERO] * len(values)
+    out = [ZERO] * len(a.values)
     for delta, coeff in terms:
-        if not coeff:
-            continue
-        for i, j in _shift_pairs(win, win, delta):
-            if values[i]:
-                prod = coeff * values[i]
-                out[j] = out[j] + prod if out[j] else prod
-    return _dense(win, out)
+        if coeff:
+            _axpy(out, a.values, coeff, _shift_pairs(a.window, a.window, delta))
+    return _dense(a.window, out)
 
 
 def shift_rewindow(a: MSeries, delta: tuple[int, ...], c: EPoly, window: Window) -> MSeries:
     """c * q**delta * a, re-truncated into a new window.  The caller is
     responsible for a being a full expansion of window - delta."""
     out = [ZERO] * window.size
-    for i, j in _shift_pairs(a.window, window, delta):
-        if a.values[i]:
-            out[j] = c * a.values[i]
+    _axpy(out, a.values, c, _shift_pairs(a.window, window, delta))
     return _dense(window, out)
 
 

@@ -28,8 +28,11 @@ from hyperquot.qseries import (
     InvalidMonomial,
     Window,
     geometric_divide,
+    geometric_inverse,
     linear_multiply,
     one_series,
+    series_monomial,
+    zero_series,
 )
 
 L = LEFSCHETZ
@@ -174,6 +177,30 @@ def test_divisions_reject_non_integer_directions():
         for step in (geometric_divide, linear_multiply):
             with pytest.raises(InvalidMonomial):
                 step(series, 1, direction)
+    # a coefficient that is neither an int nor an EPoly is a TypeError, also on a zero series
+    window = series.window
+    for c in (1.5, "1", None):
+        for step in (geometric_divide, linear_multiply):
+            for a in (series, zero_series(window)):
+                with pytest.raises(TypeError):
+                    step(a, c, (1,))
+        with pytest.raises(TypeError):
+            geometric_inverse(window, c, (1,))
+        with pytest.raises(TypeError):
+            series_monomial(window, (0,), c)
+    # an int coefficient is the constant EPoly, stored as one
+    a = geometric_inverse(window, L, (1,))
+    for c in (-2, 0, 1, 3):
+        e = EPoly.from_int(c)
+        pairs = [
+            (geometric_divide(a, c, (1,)), geometric_divide(a, e, (1,))),
+            (linear_multiply(a, c, (1,)), linear_multiply(a, e, (1,))),
+            (geometric_inverse(window, c, (1,)), geometric_inverse(window, e, (1,))),
+            (series_monomial(window, (1,), c), series_monomial(window, (1,), e)),
+        ]
+        for got, want in pairs:
+            assert got == want
+            assert all(type(v) is EPoly for v in got.values)
 
 
 def test_zeta_divide_rejects_negative_genus():

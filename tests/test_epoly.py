@@ -167,6 +167,27 @@ def test_json_roundtrip_canonical():
     assert epoly_from_json(data) == a
 
 
+def test_json_parse_rejects_malformed_values():
+    # no field is truncated or reparsed: exponents are ints, coefficients decimal strings
+    for bad in [
+        {"pu": 1.5, "pv": 0, "c": "3"},
+        {"pu": 0, "pv": 0.9, "c": "3"},
+        {"pu": 0, "pv": 0, "c": 2.7},
+        {"pu": 0, "pv": 0, "c": "1_000"},
+    ]:
+        with pytest.raises((TypeError, ValueError)):
+            epoly_from_json([bad])
+
+
+def test_pickle_keeps_packed_layout():
+    # the offsets sit below the smallest exponents once the (0, 0) term cancels
+    a = EPoly({(0, 0): 1, (2, 3): 5}) + EPoly.from_int(-1)
+    assert (a._ou, a._ov) == (0, 0) and a.terms == {(2, 3): 5}
+    b = pickle.loads(pickle.dumps(a))
+    assert b == a
+    assert (b._n, b._ou, b._ov, b._k, b._w) == (a._n, a._ou, a._ov, a._k, a._w)
+
+
 def test_unknown_dispatch_targets():
     # operations outside the ring are rejected, not approximated
     with pytest.raises(TypeError):

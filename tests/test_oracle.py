@@ -2,6 +2,9 @@
 
 import itertools
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from hyperquot.combinat import (
     BundleSpec,
     CurveSpec,
@@ -13,6 +16,7 @@ from hyperquot.curve_motives import sym_class
 from hyperquot.epoly import EPoly, euler_number, flag_motive
 from hyperquot.formulas import (
     default_lower_bounds,
+    euler_partition_function,
     fixed_component_counts,
     motivic_partition_function,
 )
@@ -21,7 +25,7 @@ from hyperquot.oracle import (
     enumerate_fixed_components,
     oracle_partition_function,
 )
-from hyperquot.qseries import Window
+from hyperquot.qseries import MSeries, Window
 
 
 def test_enumeration_rank_two_at_degree_zero():
@@ -178,3 +182,37 @@ def test_fixed_component_counts_match_enumeration():
                             counts[comp.degree] = counts.get(comp.degree, 0) + 1
                     series = fixed_component_counts(bundle, profile, window)
                     assert {d: euler_number(c) for d, c in series.items()} == counts
+
+
+@st.composite
+def small_inputs(draw):
+    """(curve, bundle, profile, window) with g in 0..2, rank 1..4, length
+    1..3, degrees in -2..2 and hi 0..3 steps above the default lower bound."""
+    rank = draw(st.integers(1, 4))
+    length = draw(st.integers(1, 3))
+    s = tuple(sorted(draw(st.lists(st.integers(0, rank), min_size=length, max_size=length))))
+    profile = NestingProfile(rank, s)
+    bundle = BundleSpec(tuple(draw(st.lists(st.integers(-2, 2), min_size=rank, max_size=rank))))
+    lo = default_lower_bounds(bundle, profile)
+    hi = tuple(a + draw(st.integers(0, 3)) for a in lo)
+    return CurveSpec(draw(st.integers(0, 2))), bundle, profile, Window(lo, hi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_inputs())
+def test_formula_matches_oracle_on_random_inputs(inputs):
+    curve, bundle, profile, window = inputs
+    motivic = motivic_partition_function(curve, bundle, profile, window)
+    assert motivic == oracle_partition_function(curve, bundle, profile, window)
+    # u = v = 1 specializes the motivic series to the Euler series
+    specialized = MSeries(
+        window, {d: EPoly.from_int(euler_number(c)) for d, c in motivic.items()}
+    )
+    assert specialized == euler_partition_function(curve, bundle, profile, window)
+
+
+@settings(max_examples=15, deadline=None)
+@given(small_inputs())
+def test_parallel_matches_serial_on_random_inputs(inputs):
+    serial = motivic_partition_function(*inputs)
+    assert motivic_partition_function(*inputs, parallel=True) == serial
