@@ -3,10 +3,10 @@ fixed-locus statistics.  Exit codes: 0 success / suite passed, 1 suite
 failed, 2 invalid input, 3 internal error (traceback on stderr).
 
 The parsed arguments are the run's configuration.  ``main`` is the one
-pipeline: parse, run the command (its exit code and two thunks, the JSON
-result and the text lines), take the smoothness verdict, emit.  A command
-gets the verdict as a thunk too, and the verdict is evaluated at most once
-per run.
+pipeline: parse, take the smoothness verdict, run the command (its exit
+code and two thunks, the JSON result and the text lines), emit.  The
+verdict is evaluated once, before the command, which gets it as a value;
+every error it can raise is an invalid-input error the command raises too.
 """
 
 from __future__ import annotations
@@ -258,8 +258,6 @@ def cmd_compute(config: argparse.Namespace, verdict):
 
 
 def _series_mismatch(lhs: MSeries, rhs: MSeries, lhs_name: str, rhs_name: str):
-    if lhs.window != rhs.window:
-        return {"detail": "windows differ"}
     for d, a, b in zip(lhs.window.cells(), lhs.values, rhs.values):
         if a != b:
             return {
@@ -295,7 +293,7 @@ def cmd_verify(config: argparse.Namespace, verdict):
             if bundle.max_gap:
                 raise InputError("this suite needs all summand degrees equal")
             product = genus0_closed_form(bundle, profile, window)
-        if suite == "duality" and not verdict().is_smooth:
+        if suite == "duality" and not verdict.is_smooth:
             raise InputError("suite duality needs a Smooth verdict or --assume-smooth")
         series = product if suite == "b0" else motivic_partition_function(
             curve, bundle, profile, window, parallel=config.parallel
@@ -325,10 +323,7 @@ def cmd_verify(config: argparse.Namespace, verdict):
             elif suite == "genus0":
                 mismatch = _series_mismatch(series, product, "fixed_locus_sum", "product_form")
             else:
-                lhs = MSeries(
-                    window,
-                    {d: EPoly.from_int(euler_number(c)) for d, c in series.items()},
-                )
+                lhs = MSeries(window, {d: euler_number(c) for d, c in series.items()})
                 rhs = euler_partition_function(curve, bundle, profile, window)
                 mismatch = _series_mismatch(lhs, rhs, "specialized", "euler_series")
 
@@ -408,19 +403,15 @@ _INT_LIST = re.compile(r"-?\d+(,-?\d+)*")
 
 
 def _normalize_argv(argv: list[str]) -> list[str]:
-    """Join value flags with negative numeric arguments ("--dmin -1,0"),
-    which argparse would otherwise read as an unknown option."""
-    out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        nxt = argv[i + 1] if i + 1 < len(argv) else None
-        if tok in _VALUE_FLAGS and nxt is not None and _INT_LIST.fullmatch(nxt):
-            out.append(f"{tok}={nxt}")
-            i += 2
+    """Join an integer list to the token before it when that is a bare
+    value flag ("--dmin -1,0" becomes "--dmin=-1,0"), since argparse would
+    otherwise read a negative value as an unknown option."""
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in _VALUE_FLAGS and _INT_LIST.fullmatch(tok):
+            out[-1] = f"{out[-1]}={tok}"
         else:
             out.append(tok)
-            i += 1
     return out
 
 
@@ -431,9 +422,9 @@ def main(argv: list[str] | None = None) -> int:
         for name in ("degrees", "s", "dmax", "dmin"):
             if getattr(config, name) is not None:
                 setattr(config, name, _parse_int_list(getattr(config, name)))
-        verdict = functools.cache(functools.partial(_verdict, config))
+        verdict = _verdict(config)
         code, result, lines = config.run(config, verdict)
-        _emit(config, verdict(), result, lines)
+        _emit(config, verdict, result, lines)
         return code
     except (InputError, InvalidProfile, InvalidTuple, WindowMismatch, NegativeExponent) as exc:
         print(f"error: {exc}", file=sys.stderr)

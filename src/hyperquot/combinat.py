@@ -72,14 +72,12 @@ class NestingProfile:
         return tuple(self.coranks[j] - self.coranks[j + 1] for j in range(self.length + 1))
 
     def block_index(self, alpha: int) -> int:
-        """The j with alpha in block j.  Positions in block j survive into
-        the kernels K_1..K_j and none later."""
+        """The j with alpha in block j: the count of r_1..r_{l+1} that are
+        >= alpha.  Positions in block j survive into the kernels K_1..K_j
+        and none later."""
         if not 1 <= alpha <= self.rank:
             raise InvalidProfile(f"position {alpha} outside 1..{self.rank}")
-        for j in range(self.length + 1):
-            if self.coranks[j + 1] + 1 <= alpha <= self.coranks[j]:
-                return j
-        raise AssertionError("unreachable: blocks partition 1..r")
+        return sum(r >= alpha for r in self.coranks[1:])
 
 
 @dataclass(frozen=True)

@@ -59,35 +59,26 @@ class EPoly:
 
     ``terms``, the read-only mapping (u-exponent, v-exponent) ->
     coefficient with no zero coefficients, is decoded at most once per
-    value.  Equal values compare and hash equal whatever their layouts, and
-    a constant hashes like its int.  Instances are immutable.
+    value.  Two values are equal when their difference is zero, so they
+    compare and hash equal whatever their layouts, and a constant hashes
+    like its int.  Instances are immutable.
     """
 
     __slots__ = ("_n", "_ou", "_ov", "_k", "_w", "_vh", "_inf", "_terms")
 
     def __init__(self, terms: Mapping[tuple[int, int], int] | None = None):
         clean: dict[tuple[int, int], int] = {}
-        ou = ov = vmax = inf = 0
         for key, c in (terms or {}).items():
             pu, pv = key
             if not (isinstance(c, int) and isinstance(pu, int) and isinstance(pv, int)):
                 raise TypeError(f"EPoly needs int exponents and coefficients, got {key!r}: {c!r}")
-            if not c:
-                continue
-            if not clean:
-                ou, ov, vmax = pu, pv, pv
-            else:
-                if pu < ou:
-                    ou = pu
-                if pv < ov:
-                    ov = pv
-                elif pv > vmax:
-                    vmax = pv
-            clean[(pu, pv)] = c
-            m = -c if c < 0 else c
-            if m > inf:
-                inf = m
-        k, w, vh = _width(inf), _stride(vmax - ov), vmax - ov
+            if c:
+                clean[(pu, pv)] = c
+        ou = min((pu for pu, _ in clean), default=0)
+        ov = min((pv for _, pv in clean), default=0)
+        vh = max((pv - ov for _, pv in clean), default=0)
+        inf = max(map(abs, clean.values()), default=0)
+        k, w = _width(inf), _stride(vh)
         self._n, self._ou, self._ov, self._k, self._w = _encode(clean, ou, ov, k, w), ou, ov, k, w
         self._vh, self._inf = vh, inf
         self._terms = MappingProxyType(clean)
@@ -119,15 +110,9 @@ class EPoly:
         return self._n != 0
 
     def __eq__(self, other) -> bool:
-        if type(other) is not EPoly:
-            if not isinstance(other, int):
-                return NotImplemented
-            other = EPoly.from_int(other)
-        if (self._ou, self._ov, self._k, self._w) == (other._ou, other._ov, other._k, other._w):
-            return self._n == other._n
-        if not self._n or not other._n:
-            return self._n == other._n
-        return self.terms == other.terms
+        if not isinstance(other, (EPoly, int)):
+            return NotImplemented
+        return not self - other
 
     def __hash__(self):
         t = self.terms
@@ -324,8 +309,6 @@ def _repack(x: EPoly, k: int, w: int) -> int:
     if k1 == k and w1 == w:
         return n
     bits = n.bit_length()
-    if bits < k1:  # at most one slot: the same integer in every layout
-        return n
     kb1, kb = k1 >> 3, k >> 3
     rows = bits // (k1 * w1) + 1
     src = _digits(n, k1, rows * w1)
@@ -386,40 +369,32 @@ def euler_number(a: EPoly) -> int:
     return sum(a.terms.values())
 
 
-def _require_nonnegative(a: EPoly):
+def _collapse(a: EPoly, degree) -> dict[int, int]:
+    """The coefficients of a summed by target degree ``degree(pu, pv)``,
+    zeros dropped: the collapse of (u, v) to one variable that both
+    one-variable specializations share.  A Laurent input raises
+    ``NegativeExponent``."""
     m = a.min_exponent()
     if m is not None and m < 0:
         raise NegativeExponent(
             "specialization requires nonnegative exponents, found exponent %d" % m
         )
+    out: dict[int, int] = {}
+    for (pu, pv), c in a.terms.items():
+        e = degree(pu, pv)
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
 
 
 def poincare_polynomial(a: EPoly) -> dict[int, int]:
     """Poincare polynomial in z: substitute u = v = -z.  Returned as a
     mapping degree -> coefficient with zeros dropped."""
-    _require_nonnegative(a)
-    out: dict[int, int] = {}
-    for (pu, pv), c in a.terms.items():
-        k = pu + pv
-        s = out.get(k, 0) + c * (-1) ** k
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
+    return {k: (-1) ** k * c for k, c in _collapse(a, lambda pu, pv: pu + pv).items()}
 
 
 def chi_y_polynomial(a: EPoly) -> dict[int, int]:
     """chi_-y genus in y: substitute u = y, v = 1."""
-    _require_nonnegative(a)
-    out: dict[int, int] = {}
-    for (pu, _pv), c in a.terms.items():
-        s = out.get(pu, 0) + c
-        if s:
-            out[pu] = s
-        else:
-            out.pop(pu, None)
-    return out
+    return _collapse(a, lambda pu, _pv: pu)
 
 
 def flag_motive(profile: NestingProfile) -> EPoly:

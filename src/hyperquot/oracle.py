@@ -22,7 +22,7 @@ from .combinat import (
     check_shape,
 )
 from .curve_motives import nested_hilb_class
-from .epoly import EPoly, lefschetz_power
+from .epoly import ZERO, EPoly, lefschetz_power
 from .qseries import MSeries, Window
 
 
@@ -114,10 +114,5 @@ def oracle_partition_function(
             cls = lefschetz_power(bb_stratum_dimension(comp, curve.genus, bundle))
             for tup in comp.lengths:
                 cls = cls * nested_hilb_class(curve.genus, tup)
-            s = acc.get(comp.degree)
-            s = cls if s is None else s + cls
-            if s:
-                acc[comp.degree] = s
-            else:
-                acc.pop(comp.degree, None)
+            acc[comp.degree] = acc.get(comp.degree, ZERO) + cls
     return MSeries(window, acc)

@@ -108,7 +108,9 @@ def _validate_direction(window: Window, m: tuple[int, ...]):
 class MSeries:
     """Coefficients over a window, stored densely: ``values`` lists one
     coefficient per cell of the window in row-major order (the order of
-    ``Window.cells``), with ``ZERO`` in empty cells.
+    ``Window.cells``), with ``ZERO`` in empty cells.  Given coefficients
+    pass through ``_coerce``: an int becomes a constant and anything but an
+    int or an ``EPoly`` raises ``TypeError``, inside the window or not.
 
     Equality is window equality plus cell-by-cell coefficient equality.
     """
@@ -119,6 +121,7 @@ class MSeries:
         self.window = window
         self.values = [ZERO] * window.size
         for d, c in (coeffs or {}).items():
+            c = _coerce(c)
             if c and window.contains(d):
                 self.values[window.index(d)] = c
 
@@ -180,7 +183,7 @@ def zero_series(window: Window) -> MSeries:
 
 def series_monomial(window: Window, d: tuple[int, ...], c: EPoly | int) -> MSeries:
     """Single-term series c * q**d; the zero series if d falls outside the window."""
-    return MSeries(window, {tuple(d): _coerce(c)})
+    return MSeries(window, {tuple(d): c})
 
 
 def one_series(window: Window) -> MSeries:

@@ -49,6 +49,10 @@ def test_block_structure():
     assert p.block_index(1) == 2 and p.block_index(3) == 0
     p2 = NestingProfile(4, (0, 2))
     assert p2.block_sizes() == (0, 2, 2)
+    for profile in all_profiles(6, 6):
+        for alpha in range(1, profile.rank + 1):
+            j = profile.block_index(alpha)
+            assert alpha in profile.block_range(j)
 
 
 def multinomial(profile):

@@ -490,6 +490,11 @@ def test_equal_values_in_different_layouts():
     assert hash(y) == hash(x)
     assert len({x, y}) == 1
     assert y != x + ONE
+    # anything but an EPoly or an int is unequal, and comparing never raises
+    for value in (ZERO, x, y):
+        for other in (1.5, "x", None):
+            assert not (value == other) and not (other == value)
+            assert value != other and other != value
 
 
 def test_constructor_rejects_non_integers():

@@ -45,6 +45,18 @@ def test_window_validation():
         zero_series(w).coefficient((0,))
 
 
+def test_constructor_coerces_coefficients():
+    w = Window((0,), (2,))
+    # an int is stored as the constant EPoly and renders as one
+    s = MSeries(w, {(0,): 2})
+    assert type(s.values[0]) is EPoly and s.values[0] == EPoly.from_int(2)
+    assert series_to_json(s)["terms"] == [{"d": [0], "coeff": [{"pu": 0, "pv": 0, "c": "2"}]}]
+    # anything else is a TypeError, inside the window or outside it
+    for d in ((0,), (5,)):
+        with pytest.raises(TypeError):
+            MSeries(w, {d: 1.5})
+
+
 def test_series_monomial():
     w = Window((0,), (4,))
     assert series_monomial(w, (0,), ONE).coefficient((0,)) == ONE
