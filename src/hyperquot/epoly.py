@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 import sys
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 if TYPE_CHECKING:
     from .combinat import NestingProfile
@@ -352,6 +352,46 @@ def _shift_add(x: EPoly, s: EPoly, terms, inf: int) -> EPoly:
         else:
             n += shifted * c
     return _new(n, x._ou + su, x._ov + sv, k, w, vh, inf)
+
+
+def _axpy(out: list[EPoly], src: list[EPoly], c: EPoly, pairs: Iterable[tuple[int, int]]):
+    """out[j] += c * src[i] over the (source, target) index pairs, in their
+    order; the one multiply-and-accumulate loop of every series kernel.
+
+    When c is the monomial +-u**a v**b (its integer is +-1) each carry is
+    src[i]'s integer, negated for -1, at offsets moved by (a, b), with the
+    same K, W, vh and inf; any other c gives the carry ``c * src[i]``.  A
+    carry whose layout matches out[j]'s is added in place when the summed
+    bounds still fit it, the same arithmetic as ``EPoly.__add__`` with one
+    new value per cell; anything else goes through ``EPoly.__add__``."""
+    sign = c._n if c._n in (1, -1) else 0
+    cu, cv = c._ou, c._ov
+    for i, j in pairs:
+        x = src[i]
+        if not x._n:
+            continue
+        if sign:
+            carry = None
+            n, bu, bv, bvh, binf = x._n * sign, x._ou + cu, x._ov + cv, x._vh, x._inf
+            k, w = x._k, x._w
+        else:
+            carry = c * x
+            n, bu, bv, bvh, binf = carry._n, carry._ou, carry._ov, carry._vh, carry._inf
+            k, w = carry._k, carry._w
+        y = out[j]
+        if y._n and y._k == k and y._w == w:
+            au, av, inf = y._ou, y._ov, y._inf + binf
+            ou = au if au <= bu else bu
+            ov = av if av <= bv else bv
+            ah, bh = av + y._vh, bv + bvh
+            vh = (ah if ah >= bh else bh) - ov
+            if vh < w and not inf >> (k - 1):
+                s = (y._n << k * ((au - ou) * w + av - ov)) + (n << k * ((bu - ou) * w + bv - ov))
+                out[j] = _new(s, ou, ov, k, w, vh, inf) if s else ZERO
+                continue
+        if carry is None:
+            carry = _new(n, bu, bv, k, w, bvh, binf)
+        out[j] = y + carry if y._n else carry
 
 
 ZERO = EPoly()

@@ -21,7 +21,10 @@ the product of the factors.  Every factor ``(e, pu, pv, m)`` is
 ``(1 - u**pu v**pv q**m)**e`` with ``e`` = 1 or -1; ``L**a`` is
 ``u**a v**a``, and the zeta function of the curve at ``L**a q**m`` is the
 2g + 2 factors of ``curve_motives.zeta_factors``.  ``_sigma_series``
-evaluates one group; no other function here does series arithmetic.
+evaluates a whole formula, or under ``--parallel`` one branch of it, as a
+depth-first walk over the prefix trie of its factor tuples, so groups
+share the products of their common prefixes; no other function here does
+series arithmetic.
 
 None of these enforce smoothness; callers consult the smoothness module
 for whether the motivic output is certified to equal the motive.
@@ -29,11 +32,12 @@ for whether the motivic output is certified to equal the motive.
 
 from __future__ import annotations
 
+import os
 from collections import Counter
 
 from .combinat import BundleSpec, CurveSpec, NestingProfile, block_permutations, check_shape
 from .curve_motives import zeta_factors
-from .epoly import EPoly, flag_motive, lefschetz_power
+from .epoly import ONE, EPoly, flag_motive, lefschetz_power
 from .qseries import (
     MSeries,
     Window,
@@ -85,39 +89,84 @@ def _prefactor_terms(bundle: BundleSpec, profile: NestingProfile):
     return [(pre, EPoly.from_int(n)) for pre, n in sorted(mult.items())]
 
 
-def _sigma_series(
-    factors: tuple[Factor, ...],
-    terms: list[tuple[tuple[int, ...], EPoly]],
-    window: Window,
-) -> MSeries:
-    """One group of a formula: its factor product, built once on the
-    window 0..max(hi - shift) and summed over the terms, shifted and
-    scaled into the window.  Factors are applied in the order given."""
+def _sigma_series(formula: Formula, window: Window) -> MSeries:
+    """The series of a formula, walking the prefix trie of its factor
+    tuples depth first, so each shared prefix product is built once.
+
+    Factors are applied in the order given.  A node works on the window
+    0..top, the componentwise max over the groups below it of hi - shift
+    for their terms that reach the window; a child with a smaller top
+    first truncates its parent's series, which is exact because every
+    recurrence reads only lower cells of a window starting at 0.  A
+    group's terms are shifted and scaled into the window at its node.  A
+    child's series is built just before the walk descends into it, so at
+    most depth-many series are live."""
     hi = window.hi
-    terms = [t for t in terms if all(h >= s for h, s in zip(hi, t[0]))]
-    if not terms:
-        return zero_series(window)
-    top = tuple(max(h - t[0][k] for t in terms) for k, h in enumerate(hi))
-    acc = one_series(Window((0,) * len(hi), top))
-    for e, pu, pv, m in factors:
-        step = linear_multiply if e > 0 else geometric_divide
-        acc = step(acc, EPoly.monomial(pu, pv), m)
-    parts = [shift_rewindow(acc, shift, c, window) for shift, c in terms]
-    return sum(parts[1:], parts[0])
+    root = _Node()
+    for factors, terms in formula.items():
+        terms = [t for t in terms if all(h >= s for h, s in zip(hi, t[0]))]
+        if not terms:
+            continue
+        top = tuple(max(h - t[0][k] for t in terms) for k, h in enumerate(hi))
+        path = [root]
+        for f in factors:
+            path.append(path[-1].children.setdefault(f, _Node()))
+        for node in path:
+            node.top = top if node.top is None else tuple(map(max, node.top, top))
+        path[-1].terms += terms
+    out = zero_series(window)
+    if root.top is None:
+        return out
+    origin = (0,) * len(hi)
+    stack = [(root, None, one_series(Window(origin, root.top)))]
+    while stack:
+        node, factor, acc = stack.pop()
+        if acc.window.hi != node.top:
+            acc = shift_rewindow(acc, origin, ONE, Window(origin, node.top))
+        if factor is not None:
+            e, pu, pv, m = factor
+            step = linear_multiply if e > 0 else geometric_divide
+            acc = step(acc, EPoly.monomial(pu, pv), m)
+        for shift, c in node.terms:
+            out = out + shift_rewindow(acc, shift, c, window)
+        stack += [(child, f, acc) for f, child in reversed(node.children.items())]
+    return out
+
+
+class _Node:
+    """A node of the factor trie: the componentwise max top of the groups
+    below it, its children by next factor and the terms of the groups
+    that end here."""
+
+    __slots__ = ("top", "children", "terms")
+
+    def __init__(self):
+        self.top, self.children, self.terms = None, {}, []
+
+
+def _branches(formula: Formula) -> list[Formula]:
+    """The formula cut into the sub-tries below the first branching node
+    of its factor trie, each with the groups whose tuples pass through it."""
+    d = len(os.path.commonprefix(list(formula)))
+    subs: dict[tuple[Factor, ...], Formula] = {}
+    for factors, terms in formula.items():
+        subs.setdefault(factors[: d + 1], {})[factors] = terms
+    return list(subs.values())
 
 
 def _evaluate(formula: Formula, window: Window, parallel: bool = False) -> MSeries:
-    """The series of a formula.  Exact integer arithmetic makes the
+    """The series of a formula: one trie walk, or under ``parallel`` one
+    walk per branch (``_branches``) in worker processes, so the groups of a
+    branch still share their prefixes.  Exact integer arithmetic makes the
     reduction order irrelevant, so the parallel path is bit-identical."""
-    windows = [window] * len(formula)
     if parallel and len(formula) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
+        subs = _branches(formula)
         with ProcessPoolExecutor() as pool:
-            parts = list(pool.map(_sigma_series, formula, formula.values(), windows))
-    else:
-        parts = list(map(_sigma_series, formula, formula.values(), windows))
-    return sum(parts, zero_series(window))
+            parts = list(pool.map(_sigma_series, subs, [window] * len(subs)))
+        return sum(parts, zero_series(window))
+    return _sigma_series(formula, window)
 
 
 def motivic_partition_function(

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from .combinat import _int_tuple
-from .epoly import ZERO, EPoly, _coerce, epoly_from_json, epoly_to_json
+from .epoly import ZERO, EPoly, _axpy, _coerce, epoly_from_json, epoly_to_json
 
 
 class WindowMismatch(ValueError):
@@ -85,15 +85,6 @@ def _shift_pairs(src: Window, dst: Window, delta: tuple[int, ...]) -> list[tuple
             (i * s_n + x - s_lo, j * t_n + x + dk - t_lo) for i, j in pairs for x in xs
         ]
     return pairs
-
-
-def _axpy(out: list[EPoly], src: list[EPoly], c: EPoly, pairs: Iterable[tuple[int, int]]):
-    """out[j] += c * src[i] over the (source, target) index pairs, in their
-    order; the one multiply-and-accumulate loop of every series kernel."""
-    for i, j in pairs:
-        if src[i]:
-            carry = c * src[i]
-            out[j] = out[j] + carry if out[j] else carry
 
 
 def _validate_direction(window: Window, m: tuple[int, ...]):
@@ -234,15 +225,15 @@ def multiply_sparse(a: MSeries, terms: Iterable[tuple[tuple[int, ...], EPoly]]) 
     out = [ZERO] * len(a.values)
     for delta, coeff in terms:
         if coeff:
-            _axpy(out, a.values, coeff, _shift_pairs(a.window, a.window, delta))
+            _axpy(out, a.values, _coerce(coeff), _shift_pairs(a.window, a.window, delta))
     return _dense(a.window, out)
 
 
-def shift_rewindow(a: MSeries, delta: tuple[int, ...], c: EPoly, window: Window) -> MSeries:
+def shift_rewindow(a: MSeries, delta: tuple[int, ...], c: EPoly | int, window: Window) -> MSeries:
     """c * q**delta * a, re-truncated into a new window.  The caller is
     responsible for a being a full expansion of window - delta."""
     out = [ZERO] * window.size
-    _axpy(out, a.values, c, _shift_pairs(a.window, window, delta))
+    _axpy(out, a.values, _coerce(c), _shift_pairs(a.window, window, delta))
     return _dense(window, out)
 
 

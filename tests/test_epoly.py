@@ -507,3 +507,73 @@ def test_constructor_rejects_non_integers():
         EPoly.from_int(1.0)
     with pytest.raises(TypeError):
         lefschetz_power(1.5)
+
+
+# -- the fused accumulate loop -------------------------------------------------
+
+# coefficients near the 32-bit slot edge and v-exponents whose span crosses
+# the 32-slot stride, so sums and carries widen K or W
+accumulate_terms = st.dictionaries(
+    st.tuples(st.integers(-3, 3), st.integers(-3, 40)),
+    st.one_of(
+        st.integers(-9, 9),
+        st.integers(2**31 - 8, 2**31 + 2),
+        st.integers(-(2**31) - 2, -(2**31) + 8),
+    ),
+    max_size=5,
+)
+
+
+@st.composite
+def accumulate_values(draw):
+    """A value, zero included, in its own layout or in a wider one."""
+    x = EPoly(draw(accumulate_terms))
+    if draw(st.booleans()):
+        big = EPoly.monomial(draw(st.integers(-4, 4)), 70, 2**70)
+        x = (x + big) - big
+    return x
+
+
+multipliers = st.one_of(
+    st.builds(EPoly.monomial, st.integers(-4, 4), st.integers(-4, 4), st.sampled_from([1, -1])),
+    st.just(ONE),
+    st.builds(EPoly.monomial, st.integers(-4, 4), st.integers(-4, 4), st.just(3)),
+    st.builds(EPoly, wide_terms(2, 4)),
+)
+
+
+def assert_sound(p):
+    """p's bounds cover its terms and its layout holds them."""
+    t = p.terms
+    assert p._vh < p._w and not p._inf >> (p._k - 1)
+    if t:
+        assert p._vh >= max(pv for _, pv in t) - p._ov
+        assert p._ou <= min(pu for pu, _ in t) and p._ov <= min(pv for _, pv in t)
+        assert p._inf >= max(map(abs, t.values()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(accumulate_values(), min_size=1, max_size=6),
+    st.lists(accumulate_values(), min_size=1, max_size=6),
+    multipliers,
+    st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=12),
+    st.booleans(),
+    st.booleans(),
+)
+def test_accumulate_matches_plain_multiply_and_add(src, out, c, pairs, in_place, cancel):
+    if in_place:
+        src = out
+    pairs = [(i % len(src), j % len(out)) for i, j in pairs]
+    if cancel and pairs:  # the first carry cancels its target to zero
+        i, j = pairs[0]
+        out[j] = -(c * src[i])
+    expect = list(out)
+    reads = expect if in_place else list(src)
+    for i, j in pairs:
+        expect[j] = expect[j] + c * reads[i]
+    epoly._axpy(out, src, c, pairs)
+    for got, want in zip(out, expect):
+        assert dict(got.terms) == dict(want.terms)
+        assert bool(got) is bool(want)
+        assert_sound(got)

@@ -1,7 +1,10 @@
 """Closed-form partition functions against hand expansions and each other."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hyperquot import formulas
 from hyperquot.combinat import BundleSpec, CurveSpec, NestingProfile
 from hyperquot.curve_motives import zeta_eval
 from hyperquot.epoly import (
@@ -306,3 +309,73 @@ def test_parallel_matches_serial():
     serial = motivic_partition_function(curve, bundle, profile, window)
     parallel = motivic_partition_function(curve, bundle, profile, window, parallel=True)
     assert serial == parallel
+
+
+# -- shared factor prefixes ----------------------------------------------------
+
+ALPHABET = [
+    (-1, 0, 0, (1, 0)),
+    (-1, 1, 1, (0, 1)),
+    (1, 1, 0, (1, 1)),
+    (1, 0, 1, (1, 0)),
+    (-1, 2, 1, (1, 1)),
+]
+
+
+@st.composite
+def small_formulas(draw):
+    """Groups that cut one spine of factors and add up to two of their own,
+    so tuples share prefixes or are prefixes of each other, with shifts
+    that give the groups different tops and some terms outside the window."""
+    spine = draw(st.lists(st.sampled_from(ALPHABET), max_size=5))
+    formula = {}
+    for _ in range(draw(st.integers(1, 5))):
+        cut = draw(st.integers(0, len(spine)))
+        factors = tuple(spine[:cut] + draw(st.lists(st.sampled_from(ALPHABET), max_size=2)))
+        shift = st.tuples(st.integers(-1, 4), st.integers(-1, 4))
+        coeff = st.builds(
+            EPoly.monomial, st.integers(-2, 2), st.integers(-2, 2), st.sampled_from([1, -1, 2])
+        )
+        formula[factors] = draw(st.lists(st.tuples(shift, coeff), min_size=1, max_size=3))
+    return formula
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_formulas())
+def test_prefix_sharing_is_exact(formula):
+    window = Window((-1, 0), (3, 3))
+    shared = formulas._evaluate(formula, window)
+    one_by_one = [formulas._evaluate({k: v}, window) for k, v in formula.items()]
+    assert shared == sum(one_by_one, zero_series(window))
+    assert shared == formulas._evaluate(formula, window, parallel=True)
+
+
+def _motivic_formula(monkeypatch, genus, degrees, s, hi):
+    """The formula of a motivic case, as handed to ``_evaluate``, and its window."""
+    seen = []
+    monkeypatch.setattr(
+        formulas, "_evaluate", lambda f, w, parallel=False: seen.append(f) or zero_series(w)
+    )
+    bundle, profile = BundleSpec(degrees), NestingProfile(len(degrees), s)
+    window = Window(default_lower_bounds(bundle, profile), hi)
+    motivic_partition_function(CurveSpec(genus), bundle, profile, window)
+    monkeypatch.undo()
+    return seen[0], window
+
+
+def test_groups_share_factor_prefixes(monkeypatch):
+    formula, window = _motivic_formula(monkeypatch, 2, (0,) * 5, (1, 3), (6, 6))
+    passes = []
+    for name in ("geometric_divide", "linear_multiply"):
+        step = getattr(formulas, name)
+        monkeypatch.setattr(formulas, name, lambda *a, step=step: passes.append(a) or step(*a))
+    formulas._evaluate(formula, window)
+    # 27 groups of 36 factors: 972 passes when every group builds its own product
+    assert len(formula) == 27 and len(passes) == 408
+    # the branches --parallel hands to its workers do the same passes
+    passes.clear()
+    branches = formulas._branches(formula)
+    for sub in branches:
+        formulas._sigma_series(sub, window)
+    assert len(branches) == 2 and len(passes) == 408
+

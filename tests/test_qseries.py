@@ -55,6 +55,12 @@ def test_constructor_coerces_coefficients():
     for d in ((0,), (5,)):
         with pytest.raises(TypeError):
             MSeries(w, {d: 1.5})
+    # so is an int coefficient of every kernel
+    one, two = one_series(w), series_monomial(w, (1,), 2)
+    assert multiply_sparse(one, [((1,), 2)]) == two
+    assert shift_rewindow(one, (1,), 2, w) == two
+    assert geometric_divide(one, 2, (1,)).coefficient((2,)) == 4
+    assert linear_multiply(one, -2, (1,)) == one + two
 
 
 def test_series_monomial():
