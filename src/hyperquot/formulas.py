@@ -21,10 +21,13 @@ the product of the factors.  Every factor ``(e, pu, pv, m)`` is
 ``(1 - u**pu v**pv q**m)**e`` with ``e`` = 1 or -1; ``L**a`` is
 ``u**a v**a``, and the zeta function of the curve at ``L**a q**m`` is the
 2g + 2 factors of ``curve_motives.zeta_factors``.  ``_sigma_series``
-evaluates a whole formula, or under ``--parallel`` one branch of it, as a
-depth-first walk over the prefix trie of its factor tuples, so groups
-share the products of their common prefixes; no other function here does
-series arithmetic.
+evaluates a whole formula, or under ``--parallel`` one branch of it, by
+cutting its factor tuples at the depth ``_cut`` picks: a depth-first walk
+over the prefix trie of the heads, then a children-first walk over the
+suffix trie of the tails, so groups share the products of their common
+prefixes and their common suffix is applied once to the sum of their
+series (a Horner-style evaluation of a sum of products).  No other
+function here does series arithmetic.
 
 None of these enforce smoothness; callers consult the smoothness module
 for whether the motivic output is certified to equal the motive.
@@ -37,10 +40,12 @@ from collections import Counter
 
 from .combinat import BundleSpec, CurveSpec, NestingProfile, block_permutations, check_shape
 from .curve_motives import zeta_factors
-from .epoly import ONE, EPoly, flag_motive, lefschetz_power
+from .epoly import ONE, ZERO, EPoly, _axpy, flag_motive, lefschetz_power
 from .qseries import (
     MSeries,
     Window,
+    _dense,
+    _shift_pairs,
     geometric_divide,
     linear_multiply,
     one_series,
@@ -90,58 +95,151 @@ def _prefactor_terms(bundle: BundleSpec, profile: NestingProfile):
 
 
 def _sigma_series(formula: Formula, window: Window) -> MSeries:
-    """The series of a formula, walking the prefix trie of its factor
-    tuples depth first, so each shared prefix product is built once.
+    """The series of a formula, as one walk in two phases cut at the depth
+    k of ``_cut``: the prefix trie of the tuples' first k factors, then the
+    suffix trie of the rest, so groups share the products of their common
+    prefixes and, summed before it, the product of their common suffix.
 
-    Factors are applied in the order given.  A node works on the window
-    0..top, the componentwise max over the groups below it of hi - shift
-    for their terms that reach the window; a child with a smaller top
-    first truncates its parent's series, which is exact because every
-    recurrence reads only lower cells of a window starting at 0.  A
-    group's terms are shifted and scaled into the window at its node.  A
-    child's series is built just before the walk descends into it, so at
-    most depth-many series are live."""
+    Phase 1 walks the prefix trie depth first, building each node's series
+    just before it descends, so at most depth-many are live.  A node works
+    on the window 0..top, the componentwise max over the groups below it of
+    hi - shift for their terms that reach the window; a child with a
+    smaller top first truncates its parent's series, which is exact because
+    every recurrence reads only lower cells of a window starting at 0.  At
+    the node where a group's prefix ends, each term ``c q**shift`` of the
+    group is accumulated straight into the output when its suffix is empty,
+    and otherwise into the sum of its suffix.  Those sums live in the frame
+    0..hi - base, with base the componentwise min shift of the live terms,
+    so each sum is held from every term's shift up and stays exact.
+
+    Phase 2 visits the suffix trie children first, from an explicit list:
+    a node's series is its factor applied to the sum of its children's
+    series and the sums that end at it.  The children of the root are
+    added into the output shifted by base."""
     hi = window.hi
-    root = _Node()
+    live = {}
     for factors, terms in formula.items():
         terms = [t for t in terms if all(h >= s for h, s in zip(hi, t[0]))]
-        if not terms:
-            continue
-        top = tuple(max(h - t[0][k] for t in terms) for k, h in enumerate(hi))
+        if terms:
+            live[factors] = terms
+    out = zero_series(window)
+    if not live:
+        return out
+    k = _cut(list(live))
+    root, sinks = _Node(), _Node()
+    for factors, terms in live.items():
+        top = tuple(max(h - t[0][i] for t in terms) for i, h in enumerate(hi))
         path = [root]
-        for f in factors:
+        for f in factors[:k]:
             path.append(path[-1].children.setdefault(f, _Node()))
         for node in path:
             node.top = top if node.top is None else tuple(map(max, node.top, top))
-        path[-1].terms += terms
-    out = zero_series(window)
-    if root.top is None:
-        return out
+        sink = None
+        if len(factors) > k:
+            sink = sinks
+            for f in reversed(factors[k:]):
+                sink = sink.children.setdefault(f, _Node())
+        path[-1].terms += [(sink, shift, c) for shift, c in terms]
     origin = (0,) * len(hi)
+    if sinks.children:
+        base = tuple(map(min, zip(*(s for terms in live.values() for s, _ in terms))))
+        frame = Window(origin, tuple(h - b for h, b in zip(hi, base)))
+
     stack = [(root, None, one_series(Window(origin, root.top)))]
     while stack:
         node, factor, acc = stack.pop()
         if acc.window.hi != node.top:
             acc = shift_rewindow(acc, origin, ONE, Window(origin, node.top))
-        if factor is not None:
-            e, pu, pv, m = factor
-            step = linear_multiply if e > 0 else geometric_divide
-            acc = step(acc, EPoly.monomial(pu, pv), m)
-        for shift, c in node.terms:
-            out = out + shift_rewindow(acc, shift, c, window)
+        acc = _pass(acc, factor)
+        for sink, shift, c in node.terms:
+            if sink is None:
+                _axpy(out.values, acc.values, c, _shift_pairs(acc.window, window, shift))
+                continue
+            if sink.sum is None:
+                sink.sum = [ZERO] * frame.size
+            delta = tuple(s - b for s, b in zip(shift, base))
+            _axpy(sink.sum, acc.values, c, _shift_pairs(acc.window, frame, delta))
         stack += [(child, f, acc) for f, child in reversed(node.children.items())]
+    if sinks.children:
+        _suffix_walk(sinks, frame, out, base)
     return out
 
 
-class _Node:
-    """A node of the factor trie: the componentwise max top of the groups
-    below it, its children by next factor and the terms of the groups
-    that end here."""
+def _suffix_walk(sinks: _Node, frame: Window, out: MSeries, base: tuple[int, ...]):
+    """Phase 2 of ``_sigma_series``: visit the suffix trie below ``sinks``
+    children first, from an explicit list, replacing each node's sum by
+    its factor applied to that sum plus its children's series, and add the
+    series of the root's children into ``out`` shifted by base."""
+    order = []
+    stack = [(sinks, None, None)]
+    while stack:
+        node, parent, factor = stack.pop()
+        order.append((node, parent, factor))
+        stack += [(child, node, f) for f, child in node.children.items()]
+    same = _shift_pairs(frame, frame, frame.lo)
+    for node, parent, factor in reversed(order[1:]):
+        acc = _pass(_dense(frame, node.sum), factor)
+        node.sum = None
+        if parent is sinks:
+            _axpy(out.values, acc.values, ONE, _shift_pairs(frame, out.window, base))
+        elif parent.sum is None:
+            parent.sum = acc.values
+        else:
+            _axpy(parent.sum, acc.values, ONE, same)
 
-    __slots__ = ("top", "children", "terms")
+
+def _pass(acc: MSeries, factor: Factor | None) -> MSeries:
+    """acc times one factor (1 - u**pu v**pv q**m)**e; acc itself for None."""
+    if factor is None:
+        return acc
+    e, pu, pv, m = factor
+    step = linear_multiply if e > 0 else geometric_divide
+    return step(acc, EPoly.monomial(pu, pv), m)
+
+
+def _cut(tuples: list[tuple[Factor, ...]]) -> int:
+    """The depth k at which ``_sigma_series`` cuts a formula's factor
+    tuples: the k with the fewest nodes, one factor pass each, in the
+    prefix trie of the t[:k] plus the suffix trie of the t[k:], a tie
+    going to the larger k.  Tuples of different lengths are not cut, so k
+    is the longest length; nor is one tuple, whose every cut costs its
+    length."""
+    n = len(tuples[0])
+    if len(tuples) == 1 or any(len(t) != n for t in tuples):
+        return max(map(len, tuples))
+    pre, suf = _trie_sizes(tuples), _trie_sizes([t[::-1] for t in tuples])
+    return min(range(n, -1, -1), key=lambda k: pre[k] + suf[n - k])
+
+
+def _trie_sizes(tuples: list[tuple]) -> list[int]:
+    """For tuples of one length n, the nodes of the trie of the t[:d] for
+    d = 0..n: the distinct prefixes up to each depth, counted by interning
+    (parent id, item) depth by depth, so no prefix is sliced or hashed
+    whole.  Once every tuple has a prefix of its own, each further depth
+    adds one node per tuple."""
+    g, n = len(tuples), len(tuples[0])
+    ids, sizes = [0] * g, [0]
+    for column in zip(*tuples):
+        level: dict = {}
+        ids = [level.setdefault(key, len(level)) for key in zip(ids, column)]
+        sizes.append(sizes[-1] + len(level))
+        if len(level) == g:
+            break
+    return sizes + [sizes[-1] + g * i for i in range(1, n + 2 - len(sizes))]
+
+
+class _Node:
+    """A node of a factor trie.  In the prefix trie: the componentwise max
+    top of the groups below it, its children by next factor and the
+    (suffix node, shift, coeff) terms of the groups whose prefix ends
+    here, the suffix node None for an empty suffix.  In the suffix trie:
+    its children by preceding factor and the running sum of the series
+    that reach it."""
+
+    __slots__ = ("top", "children", "terms", "sum")
 
     def __init__(self):
-        self.top, self.children, self.terms = None, {}, []
+        self.top, self.children, self.terms, self.sum = None, {}, [], None
 
 
 def _branches(formula: Formula) -> list[Formula]:
@@ -155,9 +253,10 @@ def _branches(formula: Formula) -> list[Formula]:
 
 
 def _evaluate(formula: Formula, window: Window, parallel: bool = False) -> MSeries:
-    """The series of a formula: one trie walk, or under ``parallel`` one
-    walk per branch (``_branches``) in worker processes, so the groups of a
-    branch still share their prefixes.  Exact integer arithmetic makes the
+    """The series of a formula: one ``_sigma_series`` walk, or under
+    ``parallel`` one walk per branch (``_branches``) in worker processes,
+    each cutting its own branch, so the groups of a branch still share
+    their prefixes and suffixes.  Exact integer arithmetic makes the
     reduction order irrelevant, so the parallel path is bit-identical."""
     if parallel and len(formula) > 1:
         from concurrent.futures import ProcessPoolExecutor

@@ -1,5 +1,7 @@
 """Closed-form partition functions against hand expansions and each other."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -311,7 +313,7 @@ def test_parallel_matches_serial():
     assert serial == parallel
 
 
-# -- shared factor prefixes ----------------------------------------------------
+# -- shared factor prefixes and suffixes ----------------------------------------
 
 ALPHABET = [
     (-1, 0, 0, (1, 0)),
@@ -325,14 +327,25 @@ ALPHABET = [
 @st.composite
 def small_formulas(draw):
     """Groups that cut one spine of factors and add up to two of their own,
-    so tuples share prefixes or are prefixes of each other, with shifts
-    that give the groups different tops and some terms outside the window."""
-    spine = draw(st.lists(st.sampled_from(ALPHABET), max_size=5))
+    so tuples share prefixes or are prefixes of each other; or groups of
+    one length, each a head of its own and one of up to two shared tails,
+    so tuples share suffixes.  Shifts give the groups different tops and
+    some terms below the window's lower bound or above its upper one."""
+    factor = st.sampled_from(ALPHABET)
+    spine = draw(st.lists(factor, max_size=5))
+    head_len, tail_len = draw(st.integers(0, 3)), draw(st.integers(1, 4))
+    tail = st.lists(factor, min_size=tail_len, max_size=tail_len)
+    tails = draw(st.lists(tail, min_size=1, max_size=2))
+    shared_tails = draw(st.booleans())
     formula = {}
     for _ in range(draw(st.integers(1, 5))):
-        cut = draw(st.integers(0, len(spine)))
-        factors = tuple(spine[:cut] + draw(st.lists(st.sampled_from(ALPHABET), max_size=2)))
-        shift = st.tuples(st.integers(-1, 4), st.integers(-1, 4))
+        if shared_tails:
+            head = draw(st.lists(factor, min_size=head_len, max_size=head_len))
+            factors = tuple(head + draw(st.sampled_from(tails)))
+        else:
+            cut = draw(st.integers(0, len(spine)))
+            factors = tuple(spine[:cut] + draw(st.lists(factor, max_size=2)))
+        shift = st.tuples(st.integers(-2, 4), st.integers(-2, 4))
         coeff = st.builds(
             EPoly.monomial, st.integers(-2, 2), st.integers(-2, 2), st.sampled_from([1, -1, 2])
         )
@@ -340,7 +353,7 @@ def small_formulas(draw):
     return formula
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(small_formulas())
 def test_prefix_sharing_is_exact(formula):
     window = Window((-1, 0), (3, 3))
@@ -363,19 +376,88 @@ def _motivic_formula(monkeypatch, genus, degrees, s, hi):
     return seen[0], window
 
 
-def test_groups_share_factor_prefixes(monkeypatch):
-    formula, window = _motivic_formula(monkeypatch, 2, (0,) * 5, (1, 3), (6, 6))
+def _passes(monkeypatch, run) -> int:
+    """The factor passes ``run()`` makes, counted at the two kernels."""
     passes = []
     for name in ("geometric_divide", "linear_multiply"):
         step = getattr(formulas, name)
         monkeypatch.setattr(formulas, name, lambda *a, step=step: passes.append(a) or step(*a))
-    formulas._evaluate(formula, window)
-    # 27 groups of 36 factors: 972 passes when every group builds its own product
-    assert len(formula) == 27 and len(passes) == 408
-    # the branches --parallel hands to its workers do the same passes
-    passes.clear()
-    branches = formulas._branches(formula)
-    for sub in branches:
-        formulas._sigma_series(sub, window)
-    assert len(branches) == 2 and len(passes) == 408
+    run()
+    monkeypatch.undo()
+    return len(passes)
 
+
+def test_groups_share_factor_prefixes(monkeypatch):
+    formula, window = _motivic_formula(monkeypatch, 2, (0,) * 5, (1, 3), (6, 6))
+    # 27 groups of 36 factors: 972 passes when every group builds its own
+    # product, 408 when they share prefixes only
+    assert len(formula) == 27
+    assert _passes(monkeypatch, lambda: formulas._evaluate(formula, window)) == 192
+    # each branch --parallel hands to a worker cuts its own tuples
+    branches = formulas._branches(formula)
+    walk = lambda: [formulas._sigma_series(sub, window) for sub in branches]
+    assert len(branches) == 2 and _passes(monkeypatch, walk) == 228
+
+
+@pytest.mark.parametrize(
+    "genus, degrees, s, hi, passes",
+    [
+        (2, (0, 0, 0), (1, 2), (12, 12), 48),
+        (2, (0,) * 5, (1, 3), (6, 6), 192),
+        (4, (0, 1, 2, 3), (2,), (30,), 60),
+        (2, (0,) * 4, (1, 2, 3), (4, 4, 4), 156),
+        (3, (0, -1, 1), (1, 2), (8, 8), 64),
+    ],
+)
+def test_motivic_passes_are_the_cut_trie_nodes(monkeypatch, genus, degrees, s, hi, passes):
+    formula, window = _motivic_formula(monkeypatch, genus, degrees, s, hi)
+    assert _passes(monkeypatch, lambda: formulas._evaluate(formula, window)) == passes
+
+
+# the factors a to d of ALPHABET, and x, y
+A, B, C, D, X, Y = ALPHABET[:4] + [(-1, 0, 0, (0, 1)), (1, 1, 1, (1, 0))]
+
+
+def _cut_passes(monkeypatch, tuples) -> int:
+    formula = {t: [((0, 0), ONE)] for t in tuples}
+    window = Window((0, 0), (3, 3))
+    return _passes(monkeypatch, lambda: formulas._evaluate(formula, window))
+
+
+def test_cut_of_one_group_is_its_length():
+    assert formulas._cut([(A, B, X, Y)]) == 4
+    assert formulas._cut([()]) == 0
+
+
+def test_cut_at_the_fewest_trie_nodes(monkeypatch):
+    # prefix nodes at k = 0..4: 0, 2, 5, 8, 11; suffix nodes of the rest: 7, 4, 2, 1, 0
+    tuples = [(A, C, X, Y), (A, D, X, Y), (B, C, X, Y)]
+    assert formulas._cut(tuples) == 1
+    assert _cut_passes(monkeypatch, tuples) == 6
+
+
+def test_cut_tie_goes_to_the_larger_depth(monkeypatch):
+    # 4 nodes at k = 0 (suffix trie only) and at k = 1 (a, b, then x, y)
+    tuples = [(A, X, Y), (B, X, Y)]
+    assert formulas._cut(tuples) == 1
+    assert _cut_passes(monkeypatch, tuples) == 4
+
+
+def test_tuples_of_different_lengths_are_not_cut(monkeypatch):
+    # x, y is a shared tail, but the prefix trie is walked whole: a, b, x; ax, bx, xy; axy, bxy
+    tuples = [(A, X, Y), (B, X, Y), (X, Y)]
+    assert formulas._cut(tuples) == 3
+    assert _cut_passes(monkeypatch, tuples) == 8
+
+
+def test_deep_shared_suffix_needs_no_recursion():
+    n = sys.getrecursionlimit() + 100
+    tail = tuple([(-1, 0, 0, (1,)), (1, 1, 0, (1,))] * (n // 2))[: n - 1]
+    formula = {
+        ((-1, 1, 1, (1,)),) + tail: [((0,), ONE)],
+        ((1, 0, 1, (1,)),) + tail: [((1,), L), ((0,), -ONE)],
+    }
+    window = Window((0,), (2,))
+    assert formulas._cut(list(formula)) == 1
+    one_by_one = [formulas._evaluate({k: v}, window) for k, v in formula.items()]
+    assert formulas._evaluate(formula, window) == sum(one_by_one, zero_series(window))
