@@ -32,6 +32,7 @@ from .curve_motives import InvalidTuple, zeta_rationality_check
 from .epoly import (
     EPoly,
     NegativeExponent,
+    _walk,
     chi_y_polynomial,
     euler_number,
     format_epoly,
@@ -152,11 +153,13 @@ def _render(x, pad: str = "") -> str:
 
 
 def _series(series: MSeries, spec, pad: str) -> str:
-    """The ``series`` block of a compute report at indentation ``pad``,
-    written straight from the coefficients' terms with one template per
-    term: ``_render(series_to_json(series), pad)`` for ``spec`` None; for
-    ``spec`` = (fn, variable) the window, the variable, and each coefficient
-    specialized by ``fn`` to sorted ``{"e", "c"}`` terms."""
+    """The ``series`` block of a compute report at indentation ``pad``.
+    For ``spec`` None it is ``_render(qseries.series_to_json(series), pad)``,
+    each coefficient's rows written with one template per term straight
+    from ``_walk``, which reads its packed digits in (pu, pv) order; no
+    ``terms`` mapping is built.  For ``spec`` = (fn, variable) it holds the
+    window, the variable, and each coefficient specialized by ``fn`` to
+    sorted ``{"e", "c"}`` terms."""
     p1, p2, p3, p4, p5 = (pad + "  " * i for i in range(1, 6))
     sep, close = f",\n{p5}", f'"\n{p4}}}'
     items = series.items()
@@ -166,7 +169,7 @@ def _series(series: MSeries, spec, pad: str) -> str:
         coeffs = (
             [
                 f'{start}{pu}{sep}"pv": {pv}{sep}"c": "{c}{close}'
-                for (pu, pv), c in sorted(poly.terms.items())
+                for pu, pv, c in _walk(poly)
             ]
             for _, poly in items
         )

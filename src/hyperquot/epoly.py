@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 import sys
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 if TYPE_CHECKING:
     from .combinat import NestingProfile
@@ -57,11 +57,14 @@ class EPoly:
     next power of two above ``vh`` only when a bound needs it; an operand
     in a narrower layout is repacked.
 
-    ``terms``, the read-only mapping (u-exponent, v-exponent) ->
-    coefficient with no zero coefficients, is decoded at most once per
-    value.  Two values are equal when their difference is zero, so they
-    compare and hash equal whatever their layouts, and a constant hashes
-    like its int.  Instances are immutable.
+    Digits are read by one row walk, ``_walk``: of each row of W slots it
+    reads only the first ``vh + 1``, so ``vh`` bounds which digits are read
+    and an under-estimate would lose terms.  The JSON renderers take the
+    walk's (pu, pv, c) directly; ``terms``, the read-only mapping
+    (u-exponent, v-exponent) -> coefficient with no zero coefficients, is
+    built over it at most once per value.  Two values are equal when their
+    difference is zero, so they compare and hash equal whatever their
+    layouts, and a constant hashes like its int.  Instances are immutable.
     """
 
     __slots__ = ("_n", "_ou", "_ov", "_k", "_w", "_vh", "_inf", "_terms")
@@ -210,7 +213,7 @@ class EPoly:
 
 # -- the packed layout -------------------------------------------------------
 
-# Slot widths in bytes that memoryview.cast decodes in one call.
+# Slot widths in bytes that memoryview.cast reads a row of in one call.
 _CAST = {4: "I", 8: "Q"} if sys.byteorder == "little" else {}
 
 _alloc = object.__new__
@@ -285,21 +288,31 @@ def _widen(raw, kb1: int, kb: int) -> bytearray:
     return out
 
 
-def _decode(x: EPoly) -> dict[tuple[int, int], int]:
-    n, k, w = x._n, x._k, x._w
+def _walk(x: EPoly) -> Iterator[tuple[int, int, int]]:
+    """(pu, pv, c) for every nonzero digit of x, in slot order, which is
+    ascending (pu, pv) since 0 <= pv - ov <= vh < W.  Of each row of W slots
+    only the first vh + 1 are read."""
+    n, k = x._n, x._k
     if not n:
-        return {}
+        return
     kb, half = k >> 3, 1 << (k - 1)
+    fmt = _CAST.get(kb)
     # a nonzero top slot t makes |n| > 2**(k*t - 1), so t <= bit_length // k
-    raw = _digits(n, k, n.bit_length() // k + 1)
-    if kb in _CAST:
-        digits = memoryview(raw).cast(_CAST[kb]).tolist()
-    else:
-        digits = [int.from_bytes(raw[i : i + kb], "little") for i in range(0, len(raw), kb)]
-    ou, ov = x._ou, x._ov
-    return {
-        (ou + i // w, ov + i % w): d - half for i, d in enumerate(digits) if d != half
-    }
+    raw = memoryview(_digits(n, k, n.bit_length() // k + 1))
+    step, size = x._w * kb, (x._vh + 1) * kb
+    for pu, i in enumerate(range(0, len(raw), step), x._ou):
+        row = raw[i : i + size]
+        if fmt:
+            digits = row.cast(fmt)
+        else:
+            digits = (int.from_bytes(row[j : j + kb], "little") for j in range(0, len(row), kb))
+        for pv, d in enumerate(digits, x._ov):
+            if d != half:
+                yield pu, pv, d - half
+
+
+def _decode(x: EPoly) -> dict[tuple[int, int], int]:
+    return {(pu, pv): c for pu, pv, c in _walk(x)}
 
 
 def _repack(x: EPoly, k: int, w: int) -> int:
@@ -502,9 +515,9 @@ def format_upoly(p: dict[int, int], var: str) -> str:
 
 
 def epoly_to_json(a: EPoly) -> list[dict]:
-    """Canonical JSON form: terms sorted lexicographically by (pu, pv),
-    coefficients as decimal strings."""
-    return [{"pu": pu, "pv": pv, "c": str(c)} for (pu, pv), c in sorted(a.terms.items())]
+    """Canonical JSON form: terms sorted lexicographically by (pu, pv), the
+    order ``_walk`` reads them in, coefficients as decimal strings."""
+    return [{"pu": pu, "pv": pv, "c": str(c)} for pu, pv, c in _walk(a)]
 
 
 def epoly_from_json(data: list[dict]) -> EPoly:

@@ -288,8 +288,32 @@ def ref_chi_y(a):
     return {k: c for k, c in out.items() if c}
 
 
+def slot_terms(p):
+    """p's terms read from every balanced base-2**K digit of its integer,
+    whatever its bounds say: biased by 2**(K - 1) per slot, every slot's
+    bytes are read."""
+    n, k, w = p._n, p._k, p._w
+    kb, half = k // 8, 1 << (k - 1)
+    slots = n.bit_length() // k + 2
+    bias = int.from_bytes(half.to_bytes(kb, "little") * slots, "little")
+    raw = (n + bias).to_bytes(slots * kb, "little")
+    out = {}
+    for i in range(slots):
+        d = int.from_bytes(raw[i * kb : (i + 1) * kb], "little") - half
+        if d:
+            out[(p._ou + i // w, p._ov + i % w)] = d
+    return out
+
+
 def assert_matches(p, ref):
-    """Every read of the public surface of p agrees with the mapping ref."""
+    """Every read of the public surface of p agrees with the mapping ref,
+    and p's bounds cover every digit of its integer."""
+    assert slot_terms(p) == ref
+    assert p._vh < p._w and not p._inf >> (p._k - 1)
+    for (pu, pv), c in ref.items():
+        assert p._ou <= pu and p._ov <= pv
+        assert pv - p._ov <= p._vh and abs(c) <= p._inf
+    assert list(epoly._walk(p)) == [(pu, pv, c) for (pu, pv), c in sorted(ref.items())]
     assert dict(p.terms) == ref
     assert bool(p) is bool(ref)
     fresh = EPoly(ref)
@@ -443,9 +467,21 @@ def test_decode_without_memoryview_cast(coeff, monkeypatch):
     b = {(0, 0): -coeff, (3, 1): 1}
     pa = -EPoly(ref_neg(a))  # built without its terms, so they are decoded
     assert pa._k // 8 == {2**31 - 1: 4, 2**40: 8, 2**70: 12}[coeff]
+    assert list(epoly._walk(pa)) == [(pu, pv, c) for (pu, pv), c in sorted(a.items())]
     assert dict(pa.terms) == a
     assert dict((EPoly(a) + EPoly(b)).terms) == ref_add(a, b)
     assert dict((EPoly(a) * EPoly(b)).terms) == ref_mul(a, b)
+
+
+def test_walk_reads_past_a_loose_v_span_bound():
+    # the sum keeps the wide value's bounds after it cancels: stride 64,
+    # vh 40, while the terms left span two v-exponents
+    wide = EPoly({(0, 0): 1, (0, 40): -1, (3, 33): 5})
+    narrow = {(1, 5): 3, (2, 7): -1, (4, 6): 2**40}
+    p = (wide + EPoly(narrow)) + -wide
+    assert p._w == 64 and p._vh == 40 and p._ov == 0
+    assert max(pv for _, pv in narrow) - min(pv for _, pv in narrow) == 2
+    assert_matches(p, narrow)
 
 
 def test_offsets_down_to_minus_eight():
@@ -542,16 +578,6 @@ multipliers = st.one_of(
 )
 
 
-def assert_sound(p):
-    """p's bounds cover its terms and its layout holds them."""
-    t = p.terms
-    assert p._vh < p._w and not p._inf >> (p._k - 1)
-    if t:
-        assert p._vh >= max(pv for _, pv in t) - p._ov
-        assert p._ou <= min(pu for pu, _ in t) and p._ov <= min(pv for _, pv in t)
-        assert p._inf >= max(map(abs, t.values()))
-
-
 @settings(max_examples=100, deadline=None)
 @given(
     st.lists(accumulate_values(), min_size=1, max_size=6),
@@ -568,12 +594,11 @@ def test_accumulate_matches_plain_multiply_and_add(src, out, c, pairs, in_place,
     if cancel and pairs:  # the first carry cancels its target to zero
         i, j = pairs[0]
         out[j] = -(c * src[i])
-    expect = list(out)
-    reads = expect if in_place else list(src)
+    expect = [slot_terms(y) for y in out]
+    reads = expect if in_place else [slot_terms(x) for x in src]
+    ct = slot_terms(c)
     for i, j in pairs:
-        expect[j] = expect[j] + c * reads[i]
+        expect[j] = ref_add(expect[j], ref_mul(ct, reads[i]))
     epoly._axpy(out, src, c, pairs)
     for got, want in zip(out, expect):
-        assert dict(got.terms) == dict(want.terms)
-        assert bool(got) is bool(want)
-        assert_sound(got)
+        assert_matches(got, want)
