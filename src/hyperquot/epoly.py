@@ -103,7 +103,7 @@ class EPoly:
     def terms(self) -> Mapping[tuple[int, int], int]:
         t = self._terms
         if t is None:
-            t = self._terms = MappingProxyType(_decode(self))
+            t = self._terms = MappingProxyType({(pu, pv): c for pu, pv, c in _walk(self)})
         return t
 
     def __reduce__(self):
@@ -128,27 +128,9 @@ class EPoly:
     def __add__(self, other) -> EPoly:
         if type(other) is not EPoly:
             other = _coerce(other)
-        a, b = self, other
-        an, bn = a._n, b._n
-        if not bn:
-            return a
-        if not an:
-            return b
-        ak, bk, aw, bw = a._k, b._k, a._w, b._w
-        au, av, bu, bv = a._ou, a._ov, b._ou, b._ov
-        inf = a._inf + b._inf
-        ou = au if au <= bu else bu
-        ov = av if av <= bv else bv
-        vh = max(av + a._vh, bv + b._vh) - ov
-        k, w = _layout(ak if ak >= bk else bk, aw if aw >= bw else bw, inf, vh)
-        if ak != k or aw != w:
-            an = _repack(a, k, w)
-        if bk != k or bw != w:
-            bn = _repack(b, k, w)
-        n = (an << k * ((au - ou) * w + av - ov)) + (bn << k * ((bu - ou) * w + bv - ov))
-        if not n:
-            return ZERO
-        return _new(n, ou, ov, k, w, vh, inf)
+        out = [self]
+        _axpy(out, [other], ONE, ((0, 0),))
+        return out[0]
 
     __radd__ = __add__
 
@@ -311,10 +293,6 @@ def _walk(x: EPoly) -> Iterator[tuple[int, int, int]]:
                 yield pu, pv, d - half
 
 
-def _decode(x: EPoly) -> dict[tuple[int, int], int]:
-    return {(pu, pv): c for pu, pv, c in _walk(x)}
-
-
 def _repack(x: EPoly, k: int, w: int) -> int:
     """x's integer in the layout with slot width k >= x._k and stride
     w >= x._w, at the same offsets."""
@@ -369,14 +347,16 @@ def _shift_add(x: EPoly, s: EPoly, terms, inf: int) -> EPoly:
 
 def _axpy(out: list[EPoly], src: list[EPoly], c: EPoly, pairs: Iterable[tuple[int, int]]):
     """out[j] += c * src[i] over the (source, target) index pairs, in their
-    order; the one multiply-and-accumulate loop of every series kernel.
+    order; the one multiply-and-accumulate loop of every series kernel, and
+    of ``EPoly.__add__`` as one pair with c = 1.
 
     When c is the monomial +-u**a v**b (its integer is +-1) each carry is
     src[i]'s integer, negated for -1, at offsets moved by (a, b), with the
-    same K, W, vh and inf; any other c gives the carry ``c * src[i]``.  A
-    carry whose layout matches out[j]'s is added in place when the summed
-    bounds still fit it, the same arithmetic as ``EPoly.__add__`` with one
-    new value per cell; anything else goes through ``EPoly.__add__``."""
+    same K, W, vh and inf; any other c gives the carry ``c * src[i]``.  The
+    sum keeps the wider of the two layouts, widened further only if the
+    summed bounds need it, and an operand in another layout is repacked, so
+    a carry whose layout matches out[j]'s is added in place: one aligned
+    bigint add and one new value per cell."""
     sign = c._n if c._n in (1, -1) else 0
     cu, cv = c._ou, c._ov
     for i, j in pairs:
@@ -384,27 +364,31 @@ def _axpy(out: list[EPoly], src: list[EPoly], c: EPoly, pairs: Iterable[tuple[in
         if not x._n:
             continue
         if sign:
-            carry = None
-            n, bu, bv, bvh, binf = x._n * sign, x._ou + cu, x._ov + cv, x._vh, x._inf
-            k, w = x._k, x._w
+            bn, bu, bv = x._n * sign, x._ou + cu, x._ov + cv
         else:
-            carry = c * x
-            n, bu, bv, bvh, binf = carry._n, carry._ou, carry._ov, carry._vh, carry._inf
-            k, w = carry._k, carry._w
+            x = c * x
+            bn, bu, bv = x._n, x._ou, x._ov
+        bk, bw, binf = x._k, x._w, x._inf
         y = out[j]
-        if y._n and y._k == k and y._w == w:
-            au, av, inf = y._ou, y._ov, y._inf + binf
-            ou = au if au <= bu else bu
-            ov = av if av <= bv else bv
-            ah, bh = av + y._vh, bv + bvh
-            vh = (ah if ah >= bh else bh) - ov
-            if vh < w and not inf >> (k - 1):
-                s = (y._n << k * ((au - ou) * w + av - ov)) + (n << k * ((bu - ou) * w + bv - ov))
-                out[j] = _new(s, ou, ov, k, w, vh, inf) if s else ZERO
-                continue
-        if carry is None:
-            carry = _new(n, bu, bv, k, w, bvh, binf)
-        out[j] = y + carry if y._n else carry
+        an = y._n
+        if not an:
+            out[j] = _new(bn, bu, bv, bk, bw, x._vh, binf) if sign else x
+            continue
+        ak, aw, au, av, inf = y._k, y._w, y._ou, y._ov, y._inf + binf
+        ou = au if au <= bu else bu
+        ov = av if av <= bv else bv
+        ah, bh = av + y._vh, bv + x._vh
+        vh = (ah if ah >= bh else bh) - ov
+        k = ak if ak >= bk else bk
+        w = aw if aw >= bw else bw
+        if vh >= w or inf >> (k - 1):
+            k, w = _layout(k, w, inf, vh)
+        if ak != k or aw != w:
+            an = _repack(y, k, w)
+        if bk != k or bw != w:
+            bn = _repack(x, k, w) if sign >= 0 else -_repack(x, k, w)
+        s = (an << k * ((au - ou) * w + av - ov)) + (bn << k * ((bu - ou) * w + bv - ov))
+        out[j] = _new(s, ou, ov, k, w, vh, inf) if s else ZERO
 
 
 ZERO = EPoly()

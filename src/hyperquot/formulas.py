@@ -26,8 +26,10 @@ cutting its factor tuples at the depth ``_cut`` picks: a depth-first walk
 over the prefix trie of the heads, then a children-first walk over the
 suffix trie of the tails, so groups share the products of their common
 prefixes and their common suffix is applied once to the sum of their
-series (a Horner-style evaluation of a sum of products).  No other
-function here does series arithmetic.
+series (a Horner-style evaluation of a sum of products).  Every term is
+added into the sum of its suffix, the empty suffix being the root, and
+the root's sum is the series.  No other function here does series
+arithmetic.
 
 None of these enforce smoothness; callers consult the smoothness module
 for whether the motivic output is certified to equal the motive.
@@ -107,24 +109,23 @@ def _sigma_series(formula: Formula, window: Window) -> MSeries:
     smaller top first truncates its parent's series, which is exact because
     every recurrence reads only lower cells of a window starting at 0.  At
     the node where a group's prefix ends, each term ``c q**shift`` of the
-    group is accumulated straight into the output when its suffix is empty,
-    and otherwise into the sum of its suffix.  Those sums live in the frame
-    0..hi - base, with base the componentwise min shift of the live terms,
-    so each sum is held from every term's shift up and stays exact.
+    group is accumulated into the sum of its suffix, the root of the suffix
+    trie being the empty suffix.  Every sum lives in the frame base..hi,
+    with base the componentwise min shift of the live terms, so each sum is
+    held from every term's shift up and stays exact.
 
-    Phase 2 visits the suffix trie children first, from an explicit list:
-    a node's series is its factor applied to the sum of its children's
-    series and the sums that end at it.  The children of the root are
-    added into the output shifted by base."""
+    Phase 2 visits the suffix trie children first, from an explicit list,
+    and folds each node into its parent: its factor applied to its sum.
+    The root's sum is the series, moved into the window only if the frame
+    differs from it."""
     hi = window.hi
     live = {}
     for factors, terms in formula.items():
         terms = [t for t in terms if all(h >= s for h, s in zip(hi, t[0]))]
         if terms:
             live[factors] = terms
-    out = zero_series(window)
     if not live:
-        return out
+        return zero_series(window)
     k = _cut(list(live))
     root, sinks = _Node(), _Node()
     for factors, terms in live.items():
@@ -134,16 +135,13 @@ def _sigma_series(formula: Formula, window: Window) -> MSeries:
             path.append(path[-1].children.setdefault(f, _Node()))
         for node in path:
             node.top = top if node.top is None else tuple(map(max, node.top, top))
-        sink = None
-        if len(factors) > k:
-            sink = sinks
-            for f in reversed(factors[k:]):
-                sink = sink.children.setdefault(f, _Node())
+        sink = sinks
+        for f in reversed(factors[k:]):
+            sink = sink.children.setdefault(f, _Node())
         path[-1].terms += [(sink, shift, c) for shift, c in terms]
+    base = tuple(map(min, zip(*(s for terms in live.values() for s, _ in terms))))
+    frame = window if base == window.lo else Window(base, hi)
     origin = (0,) * len(hi)
-    if sinks.children:
-        base = tuple(map(min, zip(*(s for terms in live.values() for s, _ in terms))))
-        frame = Window(origin, tuple(h - b for h, b in zip(hi, base)))
 
     stack = [(root, None, one_series(Window(origin, root.top)))]
     while stack:
@@ -152,40 +150,25 @@ def _sigma_series(formula: Formula, window: Window) -> MSeries:
             acc = shift_rewindow(acc, origin, ONE, Window(origin, node.top))
         acc = _pass(acc, factor)
         for sink, shift, c in node.terms:
-            if sink is None:
-                _axpy(out.values, acc.values, c, _shift_pairs(acc.window, window, shift))
-                continue
             if sink.sum is None:
                 sink.sum = [ZERO] * frame.size
-            delta = tuple(s - b for s, b in zip(shift, base))
-            _axpy(sink.sum, acc.values, c, _shift_pairs(acc.window, frame, delta))
+            _axpy(sink.sum, acc.values, c, _shift_pairs(acc.window, frame, shift))
         stack += [(child, f, acc) for f, child in reversed(node.children.items())]
-    if sinks.children:
-        _suffix_walk(sinks, frame, out, base)
-    return out
 
-
-def _suffix_walk(sinks: _Node, frame: Window, out: MSeries, base: tuple[int, ...]):
-    """Phase 2 of ``_sigma_series``: visit the suffix trie below ``sinks``
-    children first, from an explicit list, replacing each node's sum by
-    its factor applied to that sum plus its children's series, and add the
-    series of the root's children into ``out`` shifted by base."""
-    order = []
-    stack = [(sinks, None, None)]
+    order, stack = [], [(sinks, None, None)]
     while stack:
         node, parent, factor = stack.pop()
         order.append((node, parent, factor))
         stack += [(child, node, f) for f, child in node.children.items()]
-    same = _shift_pairs(frame, frame, frame.lo)
     for node, parent, factor in reversed(order[1:]):
         acc = _pass(_dense(frame, node.sum), factor)
         node.sum = None
-        if parent is sinks:
-            _axpy(out.values, acc.values, ONE, _shift_pairs(frame, out.window, base))
-        elif parent.sum is None:
+        if parent.sum is None:
             parent.sum = acc.values
         else:
-            _axpy(parent.sum, acc.values, ONE, same)
+            _axpy(parent.sum, acc.values, ONE, enumerate(range(frame.size)))
+    out = _dense(frame, sinks.sum)
+    return out if frame is window else shift_rewindow(out, origin, ONE, window)
 
 
 def _pass(acc: MSeries, factor: Factor | None) -> MSeries:
@@ -232,9 +215,8 @@ class _Node:
     """A node of a factor trie.  In the prefix trie: the componentwise max
     top of the groups below it, its children by next factor and the
     (suffix node, shift, coeff) terms of the groups whose prefix ends
-    here, the suffix node None for an empty suffix.  In the suffix trie:
-    its children by preceding factor and the running sum of the series
-    that reach it."""
+    here.  In the suffix trie: its children by preceding factor and the
+    running sum of the series that reach it."""
 
     __slots__ = ("top", "children", "terms", "sum")
 

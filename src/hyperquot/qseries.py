@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from .combinat import _int_tuple
-from .epoly import ZERO, EPoly, _axpy, _coerce, epoly_from_json, epoly_to_json
+from .epoly import ONE, ZERO, EPoly, _axpy, _coerce, epoly_from_json, epoly_to_json
 
 
 class WindowMismatch(ValueError):
@@ -147,9 +147,9 @@ class MSeries:
 
     def __add__(self, other: MSeries) -> MSeries:
         self._check_same_window(other)
-        return _dense(
-            self.window, [a + b if a and b else a or b for a, b in zip(self.values, other.values)]
-        )
+        out = list(self.values)
+        _axpy(out, other.values, ONE, enumerate(range(len(out))))
+        return _dense(self.window, out)
 
     def __mul__(self, other: MSeries) -> MSeries:
         self._check_same_window(other)

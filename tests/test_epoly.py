@@ -599,6 +599,11 @@ def test_accumulate_matches_plain_multiply_and_add(src, out, c, pairs, in_place,
     ct = slot_terms(c)
     for i, j in pairs:
         expect[j] = ref_add(expect[j], ref_mul(ct, reads[i]))
+    # x + y and y + x over the same draws, before _axpy replaces out's values
+    sums = [(x + y, y + x, ref_add(slot_terms(x), slot_terms(y))) for x in src for y in out]
     epoly._axpy(out, src, c, pairs)
     for got, want in zip(out, expect):
         assert_matches(got, want)
+    for xy, yx, want in sums:
+        assert_matches(xy, want)
+        assert_matches(yx, want)

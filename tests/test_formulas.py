@@ -291,12 +291,16 @@ def test_truncation_coherence_of_partition_functions():
     bundle = BundleSpec((1, -1))
     profile = NestingProfile(2, (1, 2))
     lo = default_lower_bounds(bundle, profile)
-    big = Window(lo, (3, 3))
-    small = Window(tuple(a + 1 for a in lo), (2, 1))
+    # the smaller window's lo above the least shift, then below it
+    pairs = [
+        (Window(lo, (3, 3)), Window(tuple(a + 1 for a in lo), (2, 1))),
+        (Window(tuple(a - 2 for a in lo), (3, 3)), Window(tuple(a - 1 for a in lo), (2, 2))),
+    ]
     for fn in (motivic_partition_function, euler_partition_function, oracle_partition_function):
-        assert MSeries(small, fn(curve, bundle, profile, big).coeffs) == fn(
-            curve, bundle, profile, small
-        )
+        for big, small in pairs:
+            assert MSeries(small, fn(curve, bundle, profile, big).coeffs) == fn(
+                curve, bundle, profile, small
+            )
     free, sfree = BundleSpec((0, 0)), NestingProfile(2, (1,))
     wbig, wsmall = Window((0,), (5,)), Window((1,), (3,))
     assert MSeries(wsmall, genus0_closed_form(free, sfree, wbig).coeffs) == \
