@@ -25,9 +25,9 @@ class InvalidProfile(ValueError):
 
 
 def _int_tuple(what: str, xs) -> tuple[int, ...]:
-    """xs as a tuple; TypeError if an entry is not an int."""
+    """xs as a tuple; TypeError if an entry is not an int or is a bool."""
     xs = tuple(xs)
-    if not all(isinstance(x, int) for x in xs):
+    if not all(type(x) is int for x in xs):
         raise TypeError(f"{what}: expected ints, got {xs!r}")
     return xs
 

@@ -19,10 +19,9 @@ from __future__ import annotations
 import re
 import sys
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
-if TYPE_CHECKING:
-    from .combinat import NestingProfile
+from .combinat import NestingProfile, _int_tuple
 
 
 class NegativeExponent(ValueError):
@@ -505,9 +504,16 @@ def epoly_to_json(a: EPoly) -> list[dict]:
 
 
 def epoly_from_json(data: list[dict]) -> EPoly:
-    """Inverse of ``epoly_to_json``: int exponents and decimal-string
-    coefficients; TypeError or ValueError for anything else."""
-    return EPoly({(t["pu"], t["pv"]): _decimal(t["c"]) for t in data})
+    """Inverse of ``epoly_to_json``: TypeError for a non-int exponent (a
+    bool included), ValueError for a repeated exponent pair, a coefficient
+    that is not a decimal string or a missing field."""
+    try:
+        terms = {_int_tuple("exponents", (t["pu"], t["pv"])): _decimal(t["c"]) for t in data}
+    except KeyError as e:
+        raise ValueError(f"missing field {e}") from None
+    if len(terms) != len(data):
+        raise ValueError("repeated exponent pair")
+    return EPoly(terms)
 
 
 def _decimal(c) -> int:

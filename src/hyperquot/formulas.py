@@ -21,15 +21,10 @@ the product of the factors.  Every factor ``(e, pu, pv, m)`` is
 ``(1 - u**pu v**pv q**m)**e`` with ``e`` = 1 or -1; ``L**a`` is
 ``u**a v**a``, and the zeta function of the curve at ``L**a q**m`` is the
 2g + 2 factors of ``curve_motives.zeta_factors``.  ``_sigma_series``
-evaluates a whole formula, or under ``--parallel`` one branch of it, by
-cutting its factor tuples at the depth ``_cut`` picks: a depth-first walk
-over the prefix trie of the heads, then a children-first walk over the
-suffix trie of the tails, so groups share the products of their common
-prefixes and their common suffix is applied once to the sum of their
-series (a Horner-style evaluation of a sum of products).  Every term is
-added into the sum of its suffix, the empty suffix being the root, and
-the root's sum is the series.  No other function here does series
-arithmetic.
+evaluates a whole formula, or under ``--parallel`` one branch of it, as a
+Horner-style sum of products over the prefix trie of its factor tuples'
+heads and the suffix trie of their tails, on one frame; no other function
+here does series arithmetic.
 
 None of these enforce smoothness; callers consult the smoothness module
 for whether the motivic output is certified to equal the motive.
@@ -50,7 +45,7 @@ from .qseries import (
     _shift_pairs,
     geometric_divide,
     linear_multiply,
-    one_series,
+    series_monomial,
     shift_rewindow,
     zero_series,
 )
@@ -102,17 +97,15 @@ def _sigma_series(formula: Formula, window: Window) -> MSeries:
     suffix trie of the rest, so groups share the products of their common
     prefixes and, summed before it, the product of their common suffix.
 
-    Phase 1 walks the prefix trie depth first, building each node's series
-    just before it descends, so at most depth-many are live.  A node works
-    on the window 0..top, the componentwise max over the groups below it of
-    hi - shift for their terms that reach the window; a child with a
-    smaller top first truncates its parent's series, which is exact because
-    every recurrence reads only lower cells of a window starting at 0.  At
-    the node where a group's prefix ends, each term ``c q**shift`` of the
-    group is accumulated into the sum of its suffix, the root of the suffix
-    trie being the empty suffix.  Every sum lives in the frame base..hi,
-    with base the componentwise min shift of the live terms, so each sum is
-    held from every term's shift up and stays exact.
+    Every series of the walk lives on one window, the frame base..hi, with
+    base the componentwise min shift of the live terms.  Phase 1 walks the
+    prefix trie depth first from q**base, building each node's series just
+    before it descends, so at most depth-many are live; every recurrence is
+    shift-invariant and reads only lower cells, so q**base times a product
+    holds exactly the product's cells 0..hi - base.  At the node where a
+    group's prefix ends, each term ``c q**shift`` of the group is moved up
+    by shift - base into the sum of its suffix, the root of the suffix trie
+    being the empty suffix.
 
     Phase 2 visits the suffix trie children first, from an explicit list,
     and folds each node into its parent: its factor applied to its sum.
@@ -126,33 +119,27 @@ def _sigma_series(formula: Formula, window: Window) -> MSeries:
             live[factors] = terms
     if not live:
         return zero_series(window)
+    base = tuple(map(min, zip(*(s for terms in live.values() for s, _ in terms))))
+    frame = window if base == window.lo else Window(base, hi)
     k = _cut(list(live))
     root, sinks = _Node(), _Node()
     for factors, terms in live.items():
-        top = tuple(max(h - t[0][i] for t in terms) for i, h in enumerate(hi))
-        path = [root]
+        node = root
         for f in factors[:k]:
-            path.append(path[-1].children.setdefault(f, _Node()))
-        for node in path:
-            node.top = top if node.top is None else tuple(map(max, node.top, top))
+            node = node.children.setdefault(f, _Node())
         sink = sinks
         for f in reversed(factors[k:]):
             sink = sink.children.setdefault(f, _Node())
-        path[-1].terms += [(sink, shift, c) for shift, c in terms]
-    base = tuple(map(min, zip(*(s for terms in live.values() for s, _ in terms))))
-    frame = window if base == window.lo else Window(base, hi)
-    origin = (0,) * len(hi)
+        node.terms += [(sink, tuple(x - b for x, b in zip(s, base)), c) for s, c in terms]
 
-    stack = [(root, None, one_series(Window(origin, root.top)))]
+    stack = [(root, None, series_monomial(frame, base, ONE))]
     while stack:
         node, factor, acc = stack.pop()
-        if acc.window.hi != node.top:
-            acc = shift_rewindow(acc, origin, ONE, Window(origin, node.top))
         acc = _pass(acc, factor)
-        for sink, shift, c in node.terms:
+        for sink, delta, c in node.terms:
             if sink.sum is None:
                 sink.sum = [ZERO] * frame.size
-            _axpy(sink.sum, acc.values, c, _shift_pairs(acc.window, frame, shift))
+            _axpy(sink.sum, acc.values, c, _shift_pairs(frame, frame, delta))
         stack += [(child, f, acc) for f, child in reversed(node.children.items())]
 
     order, stack = [], [(sinks, None, None)]
@@ -168,7 +155,7 @@ def _sigma_series(formula: Formula, window: Window) -> MSeries:
         else:
             _axpy(parent.sum, acc.values, ONE, enumerate(range(frame.size)))
     out = _dense(frame, sinks.sum)
-    return out if frame is window else shift_rewindow(out, origin, ONE, window)
+    return out if frame is window else shift_rewindow(out, (0,) * len(hi), ONE, window)
 
 
 def _pass(acc: MSeries, factor: Factor | None) -> MSeries:
@@ -212,16 +199,15 @@ def _trie_sizes(tuples: list[tuple]) -> list[int]:
 
 
 class _Node:
-    """A node of a factor trie.  In the prefix trie: the componentwise max
-    top of the groups below it, its children by next factor and the
-    (suffix node, shift, coeff) terms of the groups whose prefix ends
-    here.  In the suffix trie: its children by preceding factor and the
-    running sum of the series that reach it."""
+    """A node of a factor trie.  In the prefix trie: its children by next
+    factor and the (suffix node, shift - base, coeff) terms of the groups
+    whose prefix ends here.  In the suffix trie: its children by preceding
+    factor and the running sum of the series that reach it."""
 
-    __slots__ = ("top", "children", "terms", "sum")
+    __slots__ = ("children", "terms", "sum")
 
     def __init__(self):
-        self.top, self.children, self.terms, self.sum = None, {}, [], None
+        self.children, self.terms, self.sum = {}, [], None
 
 
 def _branches(formula: Formula) -> list[Formula]:

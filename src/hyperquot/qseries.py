@@ -248,8 +248,14 @@ def series_to_json(a: MSeries) -> dict:
 
 
 def series_from_json(data: dict) -> MSeries:
-    win = Window(tuple(data["window"]["lo"]), tuple(data["window"]["hi"]))
-    return MSeries(
-        win,
-        {tuple(t["d"]): epoly_from_json(t["coeff"]) for t in data["terms"]},
-    )
+    """Inverse of ``series_to_json``, truncating nothing: a degree of the
+    wrong length, outside the window or repeated, or a missing field,
+    raises ValueError, and a non-int entry (a bool included) TypeError."""
+    try:
+        win = Window(tuple(data["window"]["lo"]), tuple(data["window"]["hi"]))
+        coeffs = {_int_tuple("degree", t["d"]): epoly_from_json(t["coeff"]) for t in data["terms"]}
+    except KeyError as e:
+        raise ValueError(f"missing field {e}") from None
+    if len(coeffs) != len(data["terms"]) or not all(map(win.contains, coeffs)):
+        raise ValueError(f"a degree is repeated or outside window {win}")
+    return MSeries(win, coeffs)

@@ -168,15 +168,20 @@ def test_json_roundtrip_canonical():
 
 
 def test_json_parse_rejects_malformed_values():
-    # no field is truncated or reparsed: exponents are ints, coefficients decimal strings
+    # no field is truncated, reparsed or dropped: exponents are ints, not bools,
+    # coefficients decimal strings, every field is present and each pair occurs once
     for bad in [
-        {"pu": 1.5, "pv": 0, "c": "3"},
-        {"pu": 0, "pv": 0.9, "c": "3"},
-        {"pu": 0, "pv": 0, "c": 2.7},
-        {"pu": 0, "pv": 0, "c": "1_000"},
+        [{"pu": 1.5, "pv": 0, "c": "3"}],
+        [{"pu": 0, "pv": 0.9, "c": "3"}],
+        [{"pu": 0, "pv": 0, "c": 2.7}],
+        [{"pu": 0, "pv": 0, "c": "1_000"}],
+        [{"pu": True, "pv": 0, "c": "3"}],
+        [{"pu": 0, "c": "3"}],
+        [{"pu": 0, "pv": 0}],
+        [{"pu": 0, "pv": 0, "c": "1"}, {"pu": 0, "pv": 0, "c": "2"}],
     ]:
         with pytest.raises((TypeError, ValueError)):
-            epoly_from_json([bad])
+            epoly_from_json(bad)
 
 
 def test_pickle_keeps_packed_layout():

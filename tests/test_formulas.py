@@ -333,8 +333,9 @@ def small_formulas(draw):
     """Groups that cut one spine of factors and add up to two of their own,
     so tuples share prefixes or are prefixes of each other; or groups of
     one length, each a head of its own and one of up to two shared tails,
-    so tuples share suffixes.  Shifts give the groups different tops and
-    some terms below the window's lower bound or above its upper one."""
+    so tuples share suffixes.  Shifts give the groups different least
+    shifts, so the frame of the walk starts above, at or below the window's
+    lower bound, and put some terms below that bound or above the upper one."""
     factor = st.sampled_from(ALPHABET)
     spine = draw(st.lists(factor, max_size=5))
     head_len, tail_len = draw(st.integers(0, 3)), draw(st.integers(1, 4))
@@ -358,9 +359,9 @@ def small_formulas(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(small_formulas())
-def test_prefix_sharing_is_exact(formula):
-    window = Window((-1, 0), (3, 3))
+@given(small_formulas(), st.tuples(st.integers(-3, 1), st.integers(-3, 1)))
+def test_prefix_sharing_is_exact(formula, lo):
+    window = Window(lo, (3, 3))
     shared = formulas._evaluate(formula, window)
     one_by_one = [formulas._evaluate({k: v}, window) for k, v in formula.items()]
     assert shared == sum(one_by_one, zero_series(window))
@@ -380,15 +381,17 @@ def _motivic_formula(monkeypatch, genus, degrees, s, hi):
     return seen[0], window
 
 
-def _passes(monkeypatch, run) -> int:
-    """The factor passes ``run()`` makes, counted at the two kernels."""
-    passes = []
+def _passes(monkeypatch, run) -> list[Window]:
+    """The window of each factor pass ``run()`` makes, seen at the two kernels."""
+    windows = []
     for name in ("geometric_divide", "linear_multiply"):
         step = getattr(formulas, name)
-        monkeypatch.setattr(formulas, name, lambda *a, step=step: passes.append(a) or step(*a))
+        monkeypatch.setattr(
+            formulas, name, lambda a, *r, step=step: windows.append(a.window) or step(a, *r)
+        )
     run()
     monkeypatch.undo()
-    return len(passes)
+    return windows
 
 
 def test_groups_share_factor_prefixes(monkeypatch):
@@ -396,11 +399,13 @@ def test_groups_share_factor_prefixes(monkeypatch):
     # 27 groups of 36 factors: 972 passes when every group builds its own
     # product, 408 when they share prefixes only
     assert len(formula) == 27
-    assert _passes(monkeypatch, lambda: formulas._evaluate(formula, window)) == 192
-    # each branch --parallel hands to a worker cuts its own tuples
+    windows = _passes(monkeypatch, lambda: formulas._evaluate(formula, window))
+    assert len(windows) == 192 and len(set(windows)) == 1
+    # each branch --parallel hands to a worker cuts its own tuples on one frame
     branches = formulas._branches(formula)
-    walk = lambda: [formulas._sigma_series(sub, window) for sub in branches]
-    assert len(branches) == 2 and _passes(monkeypatch, walk) == 228
+    walks = [_passes(monkeypatch, lambda: formulas._sigma_series(sub, window)) for sub in branches]
+    assert len(branches) == 2 and sum(map(len, walks)) == 228
+    assert all(len(set(w)) == 1 for w in walks)
 
 
 @pytest.mark.parametrize(
@@ -415,7 +420,9 @@ def test_groups_share_factor_prefixes(monkeypatch):
 )
 def test_motivic_passes_are_the_cut_trie_nodes(monkeypatch, genus, degrees, s, hi, passes):
     formula, window = _motivic_formula(monkeypatch, genus, degrees, s, hi)
-    assert _passes(monkeypatch, lambda: formulas._evaluate(formula, window)) == passes
+    windows = _passes(monkeypatch, lambda: formulas._evaluate(formula, window))
+    # every pass of one evaluation runs on the formula's frame
+    assert len(windows) == passes and len(set(windows)) == 1
 
 
 # the factors a to d of ALPHABET, and x, y
@@ -425,7 +432,7 @@ A, B, C, D, X, Y = ALPHABET[:4] + [(-1, 0, 0, (0, 1)), (1, 1, 1, (1, 0))]
 def _cut_passes(monkeypatch, tuples) -> int:
     formula = {t: [((0, 0), ONE)] for t in tuples}
     window = Window((0, 0), (3, 3))
-    return _passes(monkeypatch, lambda: formulas._evaluate(formula, window))
+    return len(_passes(monkeypatch, lambda: formulas._evaluate(formula, window)))
 
 
 def test_cut_of_one_group_is_its_length():

@@ -151,6 +151,25 @@ def test_json_roundtrip():
     assert series_from_json(data) == s
 
 
+def test_json_parse_truncates_nothing():
+    # a term the window cannot hold is an error, not dropped, and so is a
+    # repeated degree, a bool degree or a missing field
+    one = [{"pu": 0, "pv": 0, "c": "1"}]
+    for terms, error in [
+        ([{"d": [5], "coeff": one}], ValueError),
+        ([{"d": [1, 2], "coeff": one}], ValueError),
+        ([{"d": [1], "coeff": one}, {"d": [1], "coeff": one}], ValueError),
+        ([{"d": [True], "coeff": one}], TypeError),
+        ([{"coeff": one}], ValueError),
+    ]:
+        with pytest.raises(error):
+            series_from_json({"window": {"lo": [0], "hi": [2]}, "terms": terms})
+    with pytest.raises(TypeError):
+        series_from_json({"window": {"lo": [False], "hi": [2]}, "terms": []})
+    with pytest.raises(ValueError):
+        series_from_json({"window": {"lo": [0], "hi": [2]}})
+
+
 # -- property tests ------------------------------------------------------------
 
 small_epolys = st.dictionaries(
