@@ -40,11 +40,11 @@ class EPoly:
     ``|c| < 2**(K - 1)``: the coefficients are the balanced base-2**K
     digits of n, so they decode uniquely.  The layout is coarse: K is a
     multiple of 32 and W a power of two of at least 32, so most values of
-    one computation share it.  A sum is one aligned bigint add.  A factor
-    of one slot (a monomial) is applied by moving the offsets and scaling
-    the integer, a factor with fewer terms than the square root of its slot
-    count by shift-and-add over its terms, and anything else by one bigint
-    multiply.
+    one computation share it.  A sum is one aligned bigint add.  A product
+    with a one-slot factor (a monomial) is one ``_axpy`` carry, which moves
+    the offsets and scales the integer; a sparse factor, with fewer terms
+    than the square root of its slot count, uses shift-and-add over its
+    terms, and anything else is one bigint multiply.
 
     K and W come from bounds that travel with each value, exact for a value
     built from its terms: ``vh`` >= every ``b - ov`` and ``inf`` >= every
@@ -72,7 +72,7 @@ class EPoly:
         clean: dict[tuple[int, int], int] = {}
         for key, c in (terms or {}).items():
             pu, pv = key
-            if not (isinstance(c, int) and isinstance(pu, int) and isinstance(pv, int)):
+            if not (type(c) is int and type(pu) is int and type(pv) is int):
                 raise TypeError(f"EPoly needs int exponents and coefficients, got {key!r}: {c!r}")
             if c:
                 clean[(pu, pv)] = c
@@ -87,7 +87,7 @@ class EPoly:
 
     @classmethod
     def monomial(cls, pu: int, pv: int, coeff: int = 1) -> EPoly:
-        if not (isinstance(coeff, int) and isinstance(pu, int) and isinstance(pv, int)):
+        if not (type(coeff) is int and type(pu) is int and type(pv) is int):
             raise TypeError(f"EPoly.monomial needs ints, got {(pu, pv, coeff)!r}")
         if not coeff:
             return ZERO
@@ -112,7 +112,7 @@ class EPoly:
         return self._n != 0
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, (EPoly, int)):
+        if type(other) is not EPoly and type(other) is not int:
             return NotImplemented
         return not self - other
 
@@ -147,10 +147,11 @@ class EPoly:
         if not an or not bn:
             return ZERO
         abits, bbits = an.bit_length(), bn.bit_length()
-        if abits < a._k:
-            return _scale(b, an, a._ou, a._ov)
-        if bbits < b._k:
-            return _scale(a, bn, b._ou, b._ov)
+        if abits < a._k or bbits < b._k:  # a one-slot factor: one _axpy carry
+            c, x = (a, b) if abits < a._k else (b, a)
+            out = [ZERO]
+            _axpy(out, [x], c, ((0, 0),))
+            return out[0]
         slots, bslots = abits // a._k, bbits // b._k
         if slots > bslots:
             a, b, slots = b, a, bslots
@@ -311,20 +312,6 @@ def _repack(x: EPoly, k: int, w: int) -> int:
     return int.from_bytes(src, "little") - int.from_bytes(fill * (len(src) // kb), "little")
 
 
-def _scale(x: EPoly, c: int, pu: int, pv: int) -> EPoly:
-    """x times the monomial c * u**pu * v**pv: the offsets move, -1 negates
-    the integer, and any other coefficient but 1 multiplies it, after
-    widening the slots if the bound needs it."""
-    k, w, n, inf = x._k, x._w, x._n, x._inf
-    if c == -1:
-        n = -n
-    elif c != 1:
-        inf *= abs(c)
-        k, w = _layout(k, w, inf, x._vh)
-        n = _repack(x, k, w) * c
-    return _new(n, x._ou + pu, x._ov + pv, k, w, x._vh, inf)
-
-
 def _shift_add(x: EPoly, s: EPoly, terms, inf: int) -> EPoly:
     """x times s, whose terms are given, with inf bounding every |c| of the
     product: one shifted copy of x per term."""
@@ -346,32 +333,42 @@ def _shift_add(x: EPoly, s: EPoly, terms, inf: int) -> EPoly:
 
 def _axpy(out: list[EPoly], src: list[EPoly], c: EPoly, pairs: Iterable[tuple[int, int]]):
     """out[j] += c * src[i] over the (source, target) index pairs, in their
-    order; the one multiply-and-accumulate loop of every series kernel, and
-    of ``EPoly.__add__`` as one pair with c = 1.
+    order: the one multiply-and-accumulate loop of every series kernel, of
+    ``EPoly.__add__`` (c = 1) and of a product with a one-slot factor (one
+    pair into ``[ZERO]``).
 
-    When c is the monomial +-u**a v**b (its integer is +-1) each carry is
-    src[i]'s integer, negated for -1, at offsets moved by (a, b), with the
-    same K, W, vh and inf; any other c gives the carry ``c * src[i]``.  The
-    sum keeps the wider of the two layouts, widened further only if the
+    A one-slot c = c0 * u**a v**b carries src[i]'s integer times c0 at
+    offsets moved by (a, b), with inf times |c0|, repacked wider first only
+    if that bound outgrows the slot; any other c carries ``c * src[i]``.
+    The sum keeps the wider of the two layouts, widened further only if the
     summed bounds need it, and an operand in another layout is repacked, so
     a carry whose layout matches out[j]'s is added in place: one aligned
     bigint add and one new value per cell."""
-    sign = c._n if c._n in (1, -1) else 0
-    cu, cv = c._ou, c._ov
+    c0, cu, cv = c._n, c._ou, c._ov
+    if not c0:
+        return
+    if c0.bit_length() >= c._k:  # several slots: each carry is one product
+        for i, j in pairs:
+            out[j] = out[j] + c * src[i]
+        return
+    m = abs(c0)
+    scale = m != 1
     for i, j in pairs:
         x = src[i]
-        if not x._n:
+        bn = x._n
+        if not bn:
             continue
-        if sign:
-            bn, bu, bv = x._n * sign, x._ou + cu, x._ov + cv
-        else:
-            x = c * x
-            bn, bu, bv = x._n, x._ou, x._ov
         bk, bw, binf = x._k, x._w, x._inf
+        if scale:
+            binf *= m
+            if binf >> (bk - 1):
+                bk = _width(binf)
+                bn = _repack(x, bk, bw)
+        bn, bu, bv = bn * c0, x._ou + cu, x._ov + cv
         y = out[j]
         an = y._n
         if not an:
-            out[j] = _new(bn, bu, bv, bk, bw, x._vh, binf) if sign else x
+            out[j] = _new(bn, bu, bv, bk, bw, x._vh, binf)
             continue
         ak, aw, au, av, inf = y._k, y._w, y._ou, y._ov, y._inf + binf
         ou = au if au <= bu else bu
@@ -385,7 +382,7 @@ def _axpy(out: list[EPoly], src: list[EPoly], c: EPoly, pairs: Iterable[tuple[in
         if ak != k or aw != w:
             an = _repack(y, k, w)
         if bk != k or bw != w:
-            bn = _repack(x, k, w) if sign >= 0 else -_repack(x, k, w)
+            bn = _repack(x, k, w) * c0
         s = (an << k * ((au - ou) * w + av - ov)) + (bn << k * ((bu - ou) * w + bv - ov))
         out[j] = _new(s, ou, ov, k, w, vh, inf) if s else ZERO
 

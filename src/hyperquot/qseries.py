@@ -99,9 +99,10 @@ def _validate_direction(window: Window, m: tuple[int, ...]):
 class MSeries:
     """Coefficients over a window, stored densely: ``values`` lists one
     coefficient per cell of the window in row-major order (the order of
-    ``Window.cells``), with ``ZERO`` in empty cells.  Given coefficients
-    pass through ``_coerce``: an int becomes a constant and anything but an
-    int or an ``EPoly`` raises ``TypeError``, inside the window or not.
+    ``Window.cells``), with ``ZERO`` in empty cells.  Degrees pass through
+    ``_int_tuple`` and coefficients through ``_coerce``: an int becomes a
+    constant, and anything but an int or an ``EPoly`` (a bool included)
+    raises ``TypeError``, inside the window or not.
 
     Equality is window equality plus cell-by-cell coefficient equality.
     """
@@ -112,7 +113,7 @@ class MSeries:
         self.window = window
         self.values = [ZERO] * window.size
         for d, c in (coeffs or {}).items():
-            c = _coerce(c)
+            d, c = _int_tuple("degree", d), _coerce(c)
             if c and window.contains(d):
                 self.values[window.index(d)] = c
 

@@ -362,7 +362,7 @@ def dense_terms(draw):
     return draw(st.dictionaries(cells, coeffs, min_size=10, max_size=40))
 
 
-# one term (the offset-only path), few terms or sparse in their box
+# one term (one _axpy carry), few terms or sparse in their box
 # (shift-and-add), and dense (one multiply of the repacked operands, from
 # about 16 terms in an 8 x 8 box)
 term_sets = st.one_of(wide_terms(1, 1), wide_terms(0, 6), wide_terms(7, 40), dense_terms())
@@ -539,15 +539,27 @@ def test_equal_values_in_different_layouts():
 
 
 def test_constructor_rejects_non_integers():
-    for bad in ({(0, 0): 2.0}, {(0, 0): 0.0}, {(0.0, 0): 1}, {(0, 1.5): 1}, {(0, 0): "1"}):
+    bads = ({(0, 0): 2.0}, {(0, 0): 0.0}, {(0.0, 0): 1}, {(0, 1.5): 1}, {(0, 0): "1"})
+    # a bool is an int subclass, and is refused like any other non-int
+    bools = ({(0, 0): True}, {(0, 0): False}, {(True, 0): 1}, {(0, False): 1})
+    for bad in bads + bools:
         with pytest.raises(TypeError):
             EPoly(bad)
-    with pytest.raises(TypeError):
-        EPoly.monomial(1, 1, 0.5)
-    with pytest.raises(TypeError):
-        EPoly.from_int(1.0)
+    for args in ((1, 1, 0.5), (0, 0, True), (True, 0, 1), (0, False, 1)):
+        with pytest.raises(TypeError):
+            EPoly.monomial(*args)
+    for n in (1.0, True, False):
+        with pytest.raises(TypeError):
+            EPoly.from_int(n)
     with pytest.raises(TypeError):
         lefschetz_power(1.5)
+    with pytest.raises(TypeError):
+        ONE + True
+    with pytest.raises(TypeError):
+        True * ONE
+    # so a bool is not an int to __eq__ either: unequal, and no error
+    assert not (ONE == True) and not (True == ONE) and ONE != True
+    assert not (ZERO == False) and ZERO != False
 
 
 # -- the fused accumulate loop -------------------------------------------------
@@ -575,10 +587,17 @@ def accumulate_values(draw):
     return x
 
 
+# one-slot multipliers: zero, +-1, small counts, and +-2**40, whose carry of
+# a value near the 32-bit slot edge outgrows the slot by itself
 multipliers = st.one_of(
     st.builds(EPoly.monomial, st.integers(-4, 4), st.integers(-4, 4), st.sampled_from([1, -1])),
-    st.just(ONE),
-    st.builds(EPoly.monomial, st.integers(-4, 4), st.integers(-4, 4), st.just(3)),
+    st.sampled_from([ONE, ZERO]),
+    st.builds(
+        EPoly.monomial,
+        st.integers(-4, 4),
+        st.integers(-4, 4),
+        st.sampled_from([3, -3, 2**40, -(2**40)]),
+    ),
     st.builds(EPoly, wide_terms(2, 4)),
 )
 

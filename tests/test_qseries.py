@@ -53,8 +53,13 @@ def test_constructor_coerces_coefficients():
     assert series_to_json(s)["terms"] == [{"d": [0], "coeff": [{"pu": 0, "pv": 0, "c": "2"}]}]
     # anything else is a TypeError, inside the window or outside it
     for d in ((0,), (5,)):
+        for c in (1.5, True):
+            with pytest.raises(TypeError):
+                MSeries(w, {d: c})
+    # a degree must be a tuple of ints, and a bool is not one
+    for d in ((True,), (False,), (1.0,)):
         with pytest.raises(TypeError):
-            MSeries(w, {d: 1.5})
+            MSeries(w, {d: 1})
     # so is an int coefficient of every kernel
     one, two = one_series(w), series_monomial(w, (1,), 2)
     assert multiply_sparse(one, [((1,), 2)]) == two
