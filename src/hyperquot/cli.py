@@ -48,7 +48,7 @@ from .formulas import (
 )
 from .oracle import oracle_partition_function
 from .qseries import MSeries, Window, WindowMismatch
-from .smoothness import SmoothnessVerdict, smoothness_status
+from .smoothness import SMOOTH, UNKNOWN, SmoothnessVerdict, smoothness_status
 
 SUITES = ("oracle", "genus0", "euler_spec", "lemma_h", "duality", "zeta_rat", "b0")
 # Each realization's coefficient specialization and its variable; motivic
@@ -70,11 +70,17 @@ class InputError(ValueError):
     """Invalid configuration; mapped to exit code 2."""
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
+def _parse_int_list(text: str, one: bool = False):
+    """A value flag's integers, a tuple or (``one``) a single integer."""
+    if not _INT_LIST.fullmatch(text):
+        raise InputError(f"expected comma-separated integers, got {text!r}")
     try:
-        return tuple(int(x) for x in text.split(","))
-    except ValueError as exc:
-        raise InputError(f"expected comma-separated integers, got {text!r}") from exc
+        values = tuple(int(x) for x in text.split(","))
+    except ValueError as exc:  # a literal past the interpreter's digit limit
+        raise InputError(str(exc)) from exc
+    if one and len(values) != 1:
+        raise InputError(f"expected one integer, got {text!r}")
+    return values[0] if one else values
 
 
 def _require(config: argparse.Namespace, *fields: str):
@@ -107,86 +113,83 @@ def _verdict(config: argparse.Namespace) -> SmoothnessVerdict:
     """Not evaluated without the whole geometry; otherwise the geometry is
     validated, then assumed smooth by flag or given its criteria verdict."""
     if config.genus is None or config.degrees is None or config.s is None:
-        return SmoothnessVerdict("Unknown", "not evaluated")
+        return SmoothnessVerdict(UNKNOWN, "not evaluated")
     curve, bundle, profile = _geometry(config)
     if config.assume_smooth:
-        return SmoothnessVerdict("Smooth", "assumed by flag")
+        return SmoothnessVerdict(SMOOTH, "assumed by flag")
     return smoothness_status(curve, bundle, profile)
 
 
 # -- rendering ----------------------------------------------------------------
 
 
-def _block(rows: list[str], pad: str) -> str:
-    """A JSON list at indentation ``pad`` whose items are rendered, each at
-    ``pad`` plus two spaces."""
-    if not rows:
-        return "[]"
-    return "[\n" + ",\n".join(rows) + f"\n{pad}]"
-
-
-def _render(x, pad: str = "") -> str:
-    """``x`` as ``json.dumps(x, indent=2)`` writes it (``ensure_ascii``
-    escapes included), nested at indentation ``pad``: dicts with str keys,
-    lists and tuples, str, int, bool and None.  A callable stands for a value
-    that renders itself at ``pad``."""
+def _write(x, pad: str, out: list[str]) -> None:
+    """Append ``x`` to ``out`` as ``json.dumps(x, indent=2)`` writes it
+    (``ensure_ascii`` escapes included), nested at indentation ``pad``:
+    dicts with str keys, lists and tuples, str, int, bool and None.  A
+    callable stands for a value that writes itself given ``(pad, out)``."""
     if isinstance(x, dict):
-        if not x:
-            return "{}"
-        inner = pad + "  "
-        body = ",\n".join(f"{inner}{_quote(k)}: {_render(v, inner)}" for k, v in x.items())
-        return f"{{\n{body}\n{pad}}}"
-    if isinstance(x, (list, tuple)):
-        inner = pad + "  "
-        return _block([inner + _render(v, inner) for v in x], pad)
-    if isinstance(x, str):
-        return _quote(x)
-    if x is None:
-        return "null"
-    if x is True:
-        return "true"
-    if x is False:
-        return "false"
-    if callable(x):
-        return x(pad)
-    return int.__repr__(x)
-
-
-def _series(series: MSeries, spec, pad: str) -> str:
-    """The ``series`` block of a compute report at indentation ``pad``.
-    For ``spec`` None it is ``_render(qseries.series_to_json(series), pad)``,
-    each coefficient's rows written with one template per term straight
-    from ``_walk``, which reads its packed digits in (pu, pv) order; no
-    ``terms`` mapping is built.  For ``spec`` = (fn, variable) it holds the
-    window, the variable, and each coefficient specialized by ``fn`` to
-    sorted ``{"e", "c"}`` terms."""
-    p1, p2, p3, p4, p5 = (pad + "  " * i for i in range(1, 6))
-    sep, close = f",\n{p5}", f'"\n{p4}}}'
-    items = series.items()
-    if spec is None:
-        variable = ""
-        start = f'{p4}{{\n{p5}"pu": '
-        coeffs = (
-            [
-                f'{start}{pu}{sep}"pv": {pv}{sep}"c": "{c}{close}'
-                for pu, pv, c in _walk(poly)
-            ]
-            for _, poly in items
-        )
+        inner, sep = pad + "  ", "{\n"
+        for k, v in x.items():
+            out.append(f"{sep}{inner}{_quote(k)}: ")
+            _write(v, inner, out)
+            sep = ",\n"
+        out.append(f"\n{pad}}}" if x else "{}")
+    elif isinstance(x, (list, tuple)):
+        inner, sep = pad + "  ", "[\n"
+        for v in x:
+            out.append(sep + inner)
+            _write(v, inner, out)
+            sep = ",\n"
+        out.append(f"\n{pad}]" if x else "[]")
+    elif isinstance(x, str):
+        out.append(_quote(x))
+    elif callable(x):
+        x(pad, out)
+    elif x is None or isinstance(x, bool):
+        out.append("null" if x is None else "true" if x else "false")
     else:
-        fn, var = spec
-        variable = f'{p1}"variable": {_quote(var)},\n'
-        start = f'{p4}{{\n{p5}"e": '
-        coeffs = (
-            [f'{start}{e}{sep}"c": "{p[e]}{close}' for e in sorted(p)]
-            for p in (fn(poly) for _, poly in items)
-        )
-    cells = [
-        f'{p2}{{\n{p3}"d": {_render(d, p3)},\n{p3}"coeff": {_block(rows, p3)}\n{p2}}}'
-        for (d, _), rows in zip(items, coeffs)
-    ]
-    window = _render({"lo": series.window.lo, "hi": series.window.hi}, p1)
-    return f'{{\n{p1}"window": {window},\n{variable}{p1}"terms": {_block(cells, p1)}\n{pad}}}'
+        out.append(int.__repr__(x))
+
+
+def _render(x) -> str:
+    """``x`` as ``json.dumps(x, indent=2)`` writes it: ``_write``'s pieces, joined once."""
+    out: list[str] = []
+    _write(x, "", out)
+    return "".join(out)
+
+
+def _terms(rows, keys: tuple[str, ...]):
+    """A coefficient's term list as a value that writes itself: each row
+    holds the ints of ``keys`` in order, the last written as a decimal
+    string.  Every row is one template, and the list is one piece."""
+
+    def write(pad: str, out: list[str]) -> None:
+        cell, inner = pad + "  ", pad + "    "
+        fields = [f'{inner}"{k}": %d' for k in keys[:-1]] + [f'{inner}"{keys[-1]}": "%d"']
+        template = f"{cell}{{\n" + ",\n".join(fields) + f"\n{cell}}}"
+        body = ",\n".join([template % row for row in rows])
+        out.append(f"[\n{body}\n{pad}]" if body else "[]")
+
+    return write
+
+
+def _series(series: MSeries, spec) -> dict:
+    """The ``series`` block of a compute report, in the shape of
+    ``qseries.series_to_json``.  For ``spec`` None a coefficient's rows are
+    the (pu, pv, c) of ``_walk``, which reads its packed digits in (pu, pv)
+    order, so no ``terms`` mapping is built.  For ``spec`` = (fn, variable)
+    the block also holds the variable, and a coefficient's rows are the
+    sorted (e, c) of its specialization by ``fn``."""
+    items = series.items()
+    block = {"window": {"lo": series.window.lo, "hi": series.window.hi}}
+    if spec is None:
+        coeffs = [_terms(_walk(poly), ("pu", "pv", "c")) for _, poly in items]
+    else:
+        fn, block["variable"] = spec
+        coeffs = [_terms(sorted(fn(poly).items()), ("e", "c")) for _, poly in items]
+    block["terms"] = [{"d": d, "coeff": c} for (d, _), c in zip(items, coeffs)]
+    return block
 
 
 def _header(profile: NestingProfile) -> list[str]:
@@ -200,10 +203,11 @@ def _header(profile: NestingProfile) -> list[str]:
 def _emit(config: argparse.Namespace, verdict: SmoothnessVerdict, result, text_lines) -> None:
     """Print the report in the requested format.  ``result`` and
     ``text_lines`` are thunks, and only the one for ``--format`` runs.  A
-    JSON report is written by ``_render`` and is byte-identical to
-    ``json.dumps(report, indent=2)``.  The report is built whole before
-    printing, so a rendering error (a Laurent coefficient under
-    ``poincare``) leaves stdout empty."""
+    JSON report is written by ``_render``, piece by piece into one list
+    that is joined once, and is byte-identical to ``json.dumps(report,
+    indent=2)``.  The report is built whole before printing, so a
+    rendering error (a Laurent coefficient under ``poincare``) leaves
+    stdout empty."""
     if config.format == "json":
         out = _render({
             "config": {key: getattr(config, key) for key in CONFIG_KEYS},
@@ -238,7 +242,7 @@ def cmd_compute(config: argparse.Namespace, verdict):
             "flag_dimension": flag_dimension(profile),
             "block_permutation_count": len(block_permutations(profile)),
             "virtual_dimensions": vd_table,
-            "series": functools.partial(_series, series, spec),
+            "series": _series(series, spec),
         }
 
     def lines() -> list[str]:
@@ -380,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> argparse.ArgumentParser:
-        p.add_argument("--genus", type=int, help="genus of the curve")
+        p.add_argument("--genus", type=str, help="genus of the curve")
         p.add_argument("--degrees", type=str, help="comma-separated summand degrees")
         p.add_argument("--s", type=str, help="comma-separated quotient ranks")
         p.add_argument("--dmax", type=str, help="window upper bounds, one per rank step")
@@ -402,7 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _VALUE_FLAGS = {"--genus", "--degrees", "--s", "--dmax", "--dmin"}
-_INT_LIST = re.compile(r"-?\d+(,-?\d+)*")
+# The one integer grammar of every value flag: ASCII digits, as ``epoly._decimal``.
+_INT_LIST = re.compile(r"-?[0-9]+(,-?[0-9]+)*")
 
 
 def _normalize_argv(argv: list[str]) -> list[str]:
@@ -422,9 +427,9 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     config = build_parser().parse_args(_normalize_argv(argv))
     try:
-        for name in ("degrees", "s", "dmax", "dmin"):
+        for name in ("genus", "degrees", "s", "dmax", "dmin"):
             if getattr(config, name) is not None:
-                setattr(config, name, _parse_int_list(getattr(config, name)))
+                setattr(config, name, _parse_int_list(getattr(config, name), name == "genus"))
         verdict = _verdict(config)
         code, result, lines = config.run(config, verdict)
         _emit(config, verdict, result, lines)

@@ -386,6 +386,25 @@ def test_bad_integer_list_exit_code(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: expected comma-separated integers, got '0,x'\n"
+    # one ASCII grammar, -?[0-9]+(,-?[0-9]+)*, for every value flag: no "_",
+    # "+", blanks or non-ASCII digits, a split negative joined only when it
+    # parses, one integer for --genus, and no literal past int's digit limit
+    geometry = {"--genus": "0", "--degrees": "0,0", "--s": "1", "--dmax": "1"}
+    for flag, value in [
+        ("--dmax", "1_0"), ("--dmax", "+3"), ("--dmax", " 3"), ("--dmax", "\u0663"),
+        ("--dmin", "-1_0"), ("--dmin=-1_0", None), ("--genus", "1_0"), ("--genus", "+1"),
+        ("--genus", "1,2"), ("--genus", "x"), ("--degrees", "0,,0"), ("--s", "1,"),
+        ("--dmax", "9" * 5000),
+    ]:
+        args = [x for k, v in {**geometry, flag: value}.items() for x in (k, v) if x]
+        try:
+            code = main(["compute", *args])
+        except SystemExit as exc:  # a value argparse cannot take exits 2 from argparse
+            code = exc.code
+        assert code == 2, args
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "error: " in err
 
 
 def test_parser_is_built_once_and_not_at_import():

@@ -5,7 +5,6 @@ and a rendered series parses back to the series it came from."""
 
 import argparse
 import contextlib
-import functools
 import io
 import json
 
@@ -87,7 +86,7 @@ def compute_results(draw):
             st.lists(st.fixed_dictionaries({"d": int_lists, "vd": small}), max_size=4)
         ),
     }
-    rendered = {**head, "series": functools.partial(cli._series, series, spec)}
+    rendered = {**head, "series": cli._series(series, spec)}
     reference = {
         **head,
         "series": series_to_json(series) if spec is None else specialized_json(series, *spec),
@@ -157,5 +156,33 @@ def test_report_is_json_dumps_indent_2(config, status, reason, result):
 
 
 def test_empty_containers_and_scalars():
-    for x in ({}, [], (), {"a": []}, [{}], None, True, False, 0, -(10**400), " "):
+    nested = ({"a": [{}, [], {"b": ()}]}, [[[]]], {"a": {"b": {}}}, [(), [{}], {"c": [[], ()]}])
+    for x in ({}, [], (), {"a": []}, [{}], *nested, None, True, False, 0, -(10**400), " "):
         assert cli._render(x) == json.dumps(x, indent=2)
+
+
+def test_each_coefficient_is_one_piece(monkeypatch, capsys):
+    # the writer streams the report into one list: a coefficient's term list
+    # is appended whole, and no enclosing block is copied into a longer piece
+    pieces = []
+    write = cli._write
+
+    def spy(x, pad, out):
+        if not pieces:
+            pieces.append(out)
+        write(x, pad, out)
+
+    monkeypatch.setattr(cli, "_write", spy)
+    for realization in ("motivic", "poincare"):
+        pieces.clear()
+        args = ["compute", "--genus", "1", "--degrees", "0,0", "--s", "1", "--dmax", "3",
+                "--realization", realization, "--format", "json"]
+        assert cli.main(args) == 0
+        doc = json.loads(capsys.readouterr().out)
+        coeffs = [t["coeff"] for t in doc["result"]["series"]["terms"]]
+        assert sum(len(c) > 1 for c in coeffs) >= 3
+        # a coefficient sits at indentation 10: report, result, series, terms, cell
+        texts = [json.dumps(c, indent=2).replace("\n", "\n" + " " * 10) for c in coeffs]
+        (out,) = pieces
+        assert all(text in out for text in texts)
+        assert max(map(len, out)) <= max(map(len, texts))
