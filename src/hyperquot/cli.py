@@ -16,6 +16,7 @@ import functools
 import re
 import sys
 import traceback
+from itertools import compress
 from json.encoder import encode_basestring_ascii as _quote
 
 from .combinat import (
@@ -32,7 +33,8 @@ from .curve_motives import InvalidTuple, zeta_rationality_check
 from .epoly import (
     EPoly,
     NegativeExponent,
-    _walk,
+    _box,
+    _rows,
     chi_y_polynomial,
     euler_number,
     format_epoly,
@@ -159,35 +161,76 @@ def _render(x) -> str:
     return "".join(out)
 
 
-def _terms(rows, keys: tuple[str, ...]):
-    """A coefficient's term list as a value that writes itself: each row
-    holds the ints of ``keys`` in order, the last written as a decimal
-    string.  Every row is one template, and the list is one piece."""
+def _terms(rows):
+    """A specialization's term list as a value that writes itself: each row
+    is an (e, c), c written as a decimal string.  Every row is one template,
+    and the list is one piece."""
 
     def write(pad: str, out: list[str]) -> None:
         cell, inner = pad + "  ", pad + "    "
-        fields = [f'{inner}"{k}": %d' for k in keys[:-1]] + [f'{inner}"{keys[-1]}": "%d"']
-        template = f"{cell}{{\n" + ",\n".join(fields) + f"\n{cell}}}"
+        template = f'{cell}{{\n{inner}"e": %d,\n{inner}"c": "%d"\n{cell}}}'
         body = ",\n".join([template % row for row in rows])
         out.append(f"[\n{body}\n{pad}]" if body else "[]")
 
     return write
 
 
+class _EPolyTerms:
+    """The writer of the term lists of a series' E-polynomials ``polys``.
+    A term list is rendered one row of packed digits (``epoly._rows``) at a
+    time and joined once, so it is one piece.  A row's terms are put
+    together from two tables over the series' exponent box, built at the
+    first write for its indentation: per pu, a term's text up to its pv;
+    per pv, the text from the pv up to the coefficient."""
+
+    def __init__(self, polys: list[EPoly]):
+        self.polys, self.pad = polys, None
+
+    def _tables(self, pad: str) -> None:
+        lo_u, hi_u, lo_v, hi_v = zip(*map(_box, self.polys))
+        pus, pvs = range(min(lo_u), max(hi_u) + 1), range(min(lo_v), max(hi_v) + 1)
+        cell, inner = pad + "  ", pad + "    "
+        self.pad, self.end, self.lo = pad, f'"\n{cell}}}', (pus.start, pvs.start)
+        heads = [f'{cell}{{\n{inner}"pu": {pu},\n{inner}"pv": ' for pu in pus]
+        self.heads = [(head, f"{self.end},\n{head}") for head in heads]
+        self.tails = [f'{pv},\n{inner}"c": "' for pv in pvs]
+
+    def write(self, poly: EPoly, pad: str, out: list[str]) -> None:
+        if pad != self.pad:
+            self._tables(pad)
+        heads, tails, end, (lo_u, lo_v) = self.heads, self.tails, self.end, self.lo
+        pieces = []
+        for pu, pv, row in _rows(poly):
+            cs = list(map(str, filter(None, row)))
+            if cs:
+                head, mid = heads[pu - lo_u]
+                i = pv - lo_v
+                # head, pv, c, then mid, pv, c for every further term, then end
+                text = [mid] * (3 * len(cs) + 1)
+                text[0], text[-1] = head, end
+                text[1::3] = compress(tails[i : i + len(row)], row)
+                text[2::3] = cs
+                pieces += (",\n", "".join(text))
+        pieces[0] = "[\n"  # a nonzero value has a nonzero digit
+        pieces.append(f"\n{pad}]")
+        out.append("".join(pieces))
+
+
 def _series(series: MSeries, spec) -> dict:
     """The ``series`` block of a compute report, in the shape of
-    ``qseries.series_to_json``.  For ``spec`` None a coefficient's rows are
-    the (pu, pv, c) of ``_walk``, which reads its packed digits in (pu, pv)
-    order, so no ``terms`` mapping is built.  For ``spec`` = (fn, variable)
-    the block also holds the variable, and a coefficient's rows are the
-    sorted (e, c) of its specialization by ``fn``."""
+    ``qseries.series_to_json``.  For ``spec`` None each coefficient is
+    written from its packed rows by one ``_EPolyTerms`` of the series, so no
+    ``terms`` mapping is built and nothing is sorted.  For ``spec`` =
+    (fn, variable) the block also holds the variable, and a coefficient's
+    rows are the sorted (e, c) of its specialization by ``fn``."""
     items = series.items()
     block = {"window": {"lo": series.window.lo, "hi": series.window.hi}}
     if spec is None:
-        coeffs = [_terms(_walk(poly), ("pu", "pv", "c")) for _, poly in items]
+        terms = _EPolyTerms([poly for _, poly in items])
+        coeffs = (functools.partial(terms.write, poly) for poly in terms.polys)
     else:
         fn, block["variable"] = spec
-        coeffs = [_terms(sorted(fn(poly).items()), ("e", "c")) for _, poly in items]
+        coeffs = (_terms(sorted(fn(poly).items())) for _, poly in items)
     block["terms"] = [{"d": d, "coeff": c} for (d, _), c in zip(items, coeffs)]
     return block
 
@@ -374,10 +417,19 @@ def cmd_info(config: argparse.Namespace, verdict):
 # -- entry point ----------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser, and so each of its subparsers, whose refusal of
+    an input raises ``InputError``: one ``error:`` line and exit 2, as for
+    every other invalid input.  ``--help`` still exits 0."""
+
+    def error(self, message: str):
+        raise InputError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argparse parser, built on first use and then reused."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hyperquot",
         description="Exact partition functions of hyperquot schemes on curves.",
     )
@@ -425,8 +477,8 @@ def _normalize_argv(argv: list[str]) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    config = build_parser().parse_args(_normalize_argv(argv))
     try:
+        config = build_parser().parse_args(_normalize_argv(argv))
         for name in ("genus", "degrees", "s", "dmax", "dmin"):
             if getattr(config, name) is not None:
                 setattr(config, name, _parse_int_list(getattr(config, name), name == "genus"))

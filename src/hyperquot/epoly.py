@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 import sys
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .combinat import NestingProfile, _int_tuple
 
@@ -31,24 +31,30 @@ class NegativeExponent(ValueError):
 class EPoly:
     """Laurent polynomial in u, v over the integers, packed into one int.
 
-    Layout (Kronecker substitution): the value sum c * u**a * v**b is
+    Layout (Kronecker substitution on the band coordinates (a, b - a)): the
+    value sum c * u**a * v**b is
 
-        n = sum of c * 2**(K * ((a - ou) * W + (b - ov)))
+        n = sum of c * 2**(K * ((a - ou) * W + (b - a - ov)))
 
-    with Laurent offsets ``ou``, ``ov`` at most the smallest exponents, a
-    v-stride ``W`` above every ``b - ov`` and a slot width ``K`` with every
-    ``|c| < 2**(K - 1)``: the coefficients are the balanced base-2**K
-    digits of n, so they decode uniquely.  The layout is coarse: K is a
-    multiple of 32 and W a power of two of at least 32, so most values of
-    one computation share it.  A sum is one aligned bigint add.  A product
-    with a one-slot factor (a monomial) is one ``_axpy`` carry, which moves
-    the offsets and scales the integer; a sparse factor, with fewer terms
-    than the square root of its slot count, uses shift-and-add over its
-    terms, and anything else is one bigint multiply.
+    with Laurent offsets ``ou`` at most the smallest ``a`` and ``ov`` at
+    most the smallest ``b - a``, a stride ``W`` above every ``b - a - ov``
+    and a slot width ``K`` with every ``|c| < 2**(K - 1)``: the coefficients
+    are the balanced base-2**K digits of n, so they decode uniquely.  A row
+    holds one u-exponent, and its slots run along the band ``b - a`` around
+    the diagonal, where the classes built from L = uv and from symmetric
+    powers of a curve lie, so the stride follows the width of that band and
+    not the v-span.  The shear (a, b) -> (a, b - a) is additive, so sums and
+    products of packed integers are those of the values.  The layout is
+    coarse: K is a multiple of 32 and W a power of two of at least 32, so
+    most values of one computation share it.  A sum is one aligned bigint
+    add.  A product with a one-slot factor (a monomial) is one ``_axpy``
+    carry, which moves the offsets and scales the integer; a sparse factor,
+    with fewer terms than the square root of its slot count, uses
+    shift-and-add over its terms, and anything else is one bigint multiply.
 
     K and W come from bounds that travel with each value, exact for a value
-    built from its terms: ``vh`` >= every ``b - ov`` and ``inf`` >= every
-    ``|c|``.  A sum has ``inf <= inf_a + inf_b``; a product has
+    built from its terms: ``vh`` >= every ``b - a - ov`` and ``inf`` >=
+    every ``|c|``.  A sum has ``inf <= inf_a + inf_b``; a product has
     ``vh <= vh_a + vh_b`` and ``inf`` at most the inf of one operand times
     the sum of the ``|c|`` of the other, whose terms the product decodes
     anyway.  A result keeps the wider of its operands' K and W, widening K
@@ -56,14 +62,15 @@ class EPoly:
     next power of two above ``vh`` only when a bound needs it; an operand
     in a narrower layout is repacked.
 
-    Digits are read by one row walk, ``_walk``: of each row of W slots it
-    reads only the first ``vh + 1``, so ``vh`` bounds which digits are read
-    and an under-estimate would lose terms.  The JSON renderers take the
-    walk's (pu, pv, c) directly; ``terms``, the read-only mapping
-    (u-exponent, v-exponent) -> coefficient with no zero coefficients, is
-    built over it at most once per value.  Two values are equal when their
-    difference is zero, so they compare and hash equal whatever their
-    layouts, and a constant hashes like its int.  Instances are immutable.
+    Digits are read by one row reader, ``_rows``: it yields each row's
+    u-exponent, its first v-exponent and the signed digits of its first
+    ``vh + 1`` slots, so ``vh`` bounds which digits are read and an
+    under-estimate would lose terms.  The JSON renderers take the rows
+    directly; ``terms``, the read-only mapping (u-exponent, v-exponent) ->
+    coefficient with no zero coefficients, is built over them at most once
+    per value.  Two values are equal when their difference is zero, so they
+    compare and hash equal whatever their layouts, and a constant hashes
+    like its int.  Instances are immutable.
     """
 
     __slots__ = ("_n", "_ou", "_ov", "_k", "_w", "_vh", "_inf", "_terms")
@@ -77,8 +84,8 @@ class EPoly:
             if c:
                 clean[(pu, pv)] = c
         ou = min((pu for pu, _ in clean), default=0)
-        ov = min((pv for _, pv in clean), default=0)
-        vh = max((pv - ov for _, pv in clean), default=0)
+        ov = min((pv - pu for pu, pv in clean), default=0)
+        vh = max((pv - pu - ov for pu, pv in clean), default=0)
         inf = max(map(abs, clean.values()), default=0)
         k, w = _width(inf), _stride(vh)
         self._n, self._ou, self._ov, self._k, self._w = _encode(clean, ou, ov, k, w), ou, ov, k, w
@@ -92,7 +99,7 @@ class EPoly:
         if not coeff:
             return ZERO
         m = abs(coeff)
-        return _new(coeff, pu, pv, _width(m), _stride(0), 0, m)
+        return _new(coeff, pu, pv - pu, _width(m), _stride(0), 0, m)
 
     @classmethod
     def from_int(cls, n: int) -> EPoly:
@@ -102,7 +109,9 @@ class EPoly:
     def terms(self) -> Mapping[tuple[int, int], int]:
         t = self._terms
         if t is None:
-            t = self._terms = MappingProxyType({(pu, pv): c for pu, pv, c in _walk(self)})
+            t = self._terms = MappingProxyType(
+                {(pu, pv): c for pu, pv0, row in _rows(self) for pv, c in enumerate(row, pv0) if c}
+            )
         return t
 
     def __reduce__(self):
@@ -195,8 +204,8 @@ class EPoly:
 
 # -- the packed layout -------------------------------------------------------
 
-# Slot widths in bytes that memoryview.cast reads a row of in one call.
-_CAST = {4: "I", 8: "Q"} if sys.byteorder == "little" else {}
+# Slot widths in bytes that memoryview.cast reads a row of signed digits in one call.
+_CAST = {4: "i", 8: "q"} if sys.byteorder == "little" else {}
 
 _alloc = object.__new__
 
@@ -247,7 +256,7 @@ def _encode(terms, ou: int, ov: int, k: int, w: int) -> int:
     if not terms:
         return 0
     kb, half = k >> 3, 1 << (k - 1)
-    slots = {(pu - ou) * w + pv - ov: c for (pu, pv), c in terms.items()}
+    slots = {(pu - ou) * w + pv - pu - ov: c for (pu, pv), c in terms.items()}
     pattern = half.to_bytes(kb, "little") * (max(slots) + 1)
     buf = bytearray(pattern)
     for i, c in slots.items():
@@ -270,27 +279,36 @@ def _widen(raw, kb1: int, kb: int) -> bytearray:
     return out
 
 
-def _walk(x: EPoly) -> Iterator[tuple[int, int, int]]:
-    """(pu, pv, c) for every nonzero digit of x, in slot order, which is
-    ascending (pu, pv) since 0 <= pv - ov <= vh < W.  Of each row of W slots
-    only the first vh + 1 are read."""
+def _rows(x: EPoly) -> Iterator[tuple[int, int, Sequence[int]]]:
+    """(pu, first pv, signed digits) for every row of x in ascending pu: the
+    digit j of a row is the coefficient of u**pu v**(first pv + j), so the
+    digits run in ascending (pu, pv) order.  Of each row of W slots only the
+    first vh + 1 are read."""
     n, k = x._n, x._k
     if not n:
         return
-    kb, half = k >> 3, 1 << (k - 1)
+    kb = k >> 3
     fmt = _CAST.get(kb)
     # a nonzero top slot t makes |n| > 2**(k*t - 1), so t <= bit_length // k
-    raw = memoryview(_digits(n, k, n.bit_length() // k + 1))
-    step, size = x._w * kb, (x._vh + 1) * kb
-    for pu, i in enumerate(range(0, len(raw), step), x._ou):
-        row = raw[i : i + size]
+    size = kb * (n.bit_length() // k + 1)
+    bias = int.from_bytes((1 << (k - 1)).to_bytes(kb, "little") * (size // kb), "little")
+    # each biased slot c + 2**(k - 1) with its top bit flipped is c in two's complement
+    raw = memoryview(((n + bias) ^ bias).to_bytes(size, "little"))
+    step, span, ov = x._w * kb, (x._vh + 1) * kb, x._ov
+    for pu, i in enumerate(range(0, size, step), x._ou):
+        row = raw[i : i + span]
         if fmt:
-            digits = row.cast(fmt)
+            yield pu, pu + ov, row.cast(fmt)
         else:
-            digits = (int.from_bytes(row[j : j + kb], "little") for j in range(0, len(row), kb))
-        for pv, d in enumerate(digits, x._ov):
-            if d != half:
-                yield pu, pv, d - half
+            digits = [row[j : j + kb] for j in range(0, len(row), kb)]
+            yield pu, pu + ov, [int.from_bytes(d, "little", signed=True) for d in digits]
+
+
+def _box(x: EPoly) -> tuple[int, int, int, int]:
+    """(lowest pu, highest pu, lowest pv, highest pv) of a box that holds
+    every digit ``_rows`` yields for x."""
+    top = x._ou + x._n.bit_length() // x._k // x._w
+    return x._ou, top, x._ou + x._ov, top + x._ov + x._vh
 
 
 def _repack(x: EPoly, k: int, w: int) -> int:
@@ -321,7 +339,7 @@ def _shift_add(x: EPoly, s: EPoly, terms, inf: int) -> EPoly:
     su, sv = s._ou, s._ov
     n = 0
     for (pu, pv), c in terms.items():
-        shifted = base << k * ((pu - su) * w + pv - sv)
+        shifted = base << k * ((pu - su) * w + pv - pu - sv)
         if c == 1:
             n += shifted
         elif c == -1:
@@ -338,7 +356,7 @@ def _axpy(out: list[EPoly], src: list[EPoly], c: EPoly, pairs: Iterable[tuple[in
     pair into ``[ZERO]``).
 
     A one-slot c = c0 * u**a v**b carries src[i]'s integer times c0 at
-    offsets moved by (a, b), with inf times |c0|, repacked wider first only
+    offsets moved by (a, b - a), with inf times |c0|, repacked wider first only
     if that bound outgrows the slot; any other c carries ``c * src[i]``.
     The sum keeps the wider of the two layouts, widened further only if the
     summed bounds need it, and an operand in another layout is repacked, so
@@ -496,8 +514,13 @@ def format_upoly(p: dict[int, int], var: str) -> str:
 
 def epoly_to_json(a: EPoly) -> list[dict]:
     """Canonical JSON form: terms sorted lexicographically by (pu, pv), the
-    order ``_walk`` reads them in, coefficients as decimal strings."""
-    return [{"pu": pu, "pv": pv, "c": str(c)} for pu, pv, c in _walk(a)]
+    order ``_rows`` reads them in, coefficients as decimal strings."""
+    return [
+        {"pu": pu, "pv": pv, "c": str(c)}
+        for pu, pv0, row in _rows(a)
+        for pv, c in enumerate(row, pv0)
+        if c
+    ]
 
 
 def epoly_from_json(data: list[dict]) -> EPoly:

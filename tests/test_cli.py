@@ -397,14 +397,33 @@ def test_bad_integer_list_exit_code(capsys):
         ("--dmax", "9" * 5000),
     ]:
         args = [x for k, v in {**geometry, flag: value}.items() for x in (k, v) if x]
-        try:
-            code = main(["compute", *args])
-        except SystemExit as exc:  # a value argparse cannot take exits 2 from argparse
-            code = exc.code
-        assert code == 2, args
+        assert main(["compute", *args]) == 2, args
         out, err = capsys.readouterr()
         assert out == ""
         assert "error: " in err
+
+
+def test_argparse_refusal_is_one_error_line(capsys):
+    # an input argparse refuses returns 2 from main with one "error:" line,
+    # as every other invalid input does; --help still exits 0 through argparse
+    geometry = ["--genus", "0", "--degrees", "0,0", "--s", "1", "--dmax", "1"]
+    for args in (
+        ["compute", *geometry, "--bogus"],
+        ["compute", *geometry, "--format", "xml"],
+        ["compute", *geometry, "--dmin"],
+        ["verify", *geometry],
+        ["nope"],
+        [],
+    ):
+        code, out, err = run(capsys, *args)
+        assert code == 2, args
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    for args in (["--help"], ["compute", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 0
+        assert "usage: hyperquot" in capsys.readouterr().out
 
 
 def test_parser_is_built_once_and_not_at_import():

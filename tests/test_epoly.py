@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperquot import epoly
+from hyperquot import cli, epoly
 from hyperquot.combinat import InvalidProfile, NestingProfile, block_permutations
 from hyperquot.epoly import (
     LEFSCHETZ,
@@ -27,6 +27,7 @@ from hyperquot.epoly import (
     lefschetz_power,
     poincare_polynomial,
 )
+from hyperquot.qseries import MSeries, Window
 
 L = LEFSCHETZ
 
@@ -296,7 +297,8 @@ def ref_chi_y(a):
 def slot_terms(p):
     """p's terms read from every balanced base-2**K digit of its integer,
     whatever its bounds say: biased by 2**(K - 1) per slot, every slot's
-    bytes are read."""
+    bytes are read, and slot i holds the coefficient of u**a v**b with
+    a = ou + i // W and b - a = ov + i % W."""
     n, k, w = p._n, p._k, p._w
     kb, half = k // 8, 1 << (k - 1)
     slots = n.bit_length() // k + 2
@@ -306,8 +308,20 @@ def slot_terms(p):
     for i in range(slots):
         d = int.from_bytes(raw[i * kb : (i + 1) * kb], "little") - half
         if d:
-            out[(p._ou + i // w, p._ov + i % w)] = d
+            pu = p._ou + i // w
+            out[(pu, pu + p._ov + i % w)] = d
     return out
+
+
+def row_terms(p):
+    """(pu, pv, c) of every nonzero digit the row reader yields, in its
+    order, after checking the rows' shape: consecutive u-exponents from ou,
+    each row starting at v-exponent pu + ov and at most vh + 1 digits long."""
+    rows = list(epoly._rows(p))
+    assert [pu for pu, _, _ in rows] == list(range(p._ou, p._ou + len(rows)))
+    for pu, pv, row in rows:
+        assert pv == pu + p._ov and len(row) <= p._vh + 1
+    return [(pu, pv, c) for pu, pv0, row in rows for pv, c in enumerate(row, pv0) if c]
 
 
 def assert_matches(p, ref):
@@ -316,9 +330,9 @@ def assert_matches(p, ref):
     assert slot_terms(p) == ref
     assert p._vh < p._w and not p._inf >> (p._k - 1)
     for (pu, pv), c in ref.items():
-        assert p._ou <= pu and p._ov <= pv
-        assert pv - p._ov <= p._vh and abs(c) <= p._inf
-    assert list(epoly._walk(p)) == [(pu, pv, c) for (pu, pv), c in sorted(ref.items())]
+        assert p._ou <= pu and p._ov <= pv - pu
+        assert pv - pu - p._ov <= p._vh and abs(c) <= p._inf
+    assert row_terms(p) == [(pu, pv, c) for (pu, pv), c in sorted(ref.items())]
     assert dict(p.terms) == ref
     assert bool(p) is bool(ref)
     fresh = EPoly(ref)
@@ -472,21 +486,56 @@ def test_decode_without_memoryview_cast(coeff, monkeypatch):
     b = {(0, 0): -coeff, (3, 1): 1}
     pa = -EPoly(ref_neg(a))  # built without its terms, so they are decoded
     assert pa._k // 8 == {2**31 - 1: 4, 2**40: 8, 2**70: 12}[coeff]
-    assert list(epoly._walk(pa)) == [(pu, pv, c) for (pu, pv), c in sorted(a.items())]
+    assert row_terms(pa) == [(pu, pv, c) for (pu, pv), c in sorted(a.items())]
     assert dict(pa.terms) == a
     assert dict((EPoly(a) + EPoly(b)).terms) == ref_add(a, b)
     assert dict((EPoly(a) * EPoly(b)).terms) == ref_mul(a, b)
 
 
+@pytest.mark.parametrize("coeff", [2**31 - 1, 2**40, 2**70])
+def test_row_reader_fallback_reads_like_the_cast(coeff, monkeypatch):
+    # the per-slot fallback and memoryview.cast give the same terms and the
+    # same JSON, for the series renderer too, at 4-, 8- and 12-byte slots
+    a = {(0, 0): coeff, (0, 3): -1, (1, 0): 7, (2, 33): -coeff, (-1, 2): 2, (5, 4): -3}
+    series = MSeries(Window((0,), (2,)), {(0,): EPoly(a), (2,): EPoly(a) * lefschetz_power(-3)})
+    assert series.values[0]._k // 8 == {2**31 - 1: 4, 2**40: 8, 2**70: 12}[coeff]
+
+    def reads():
+        values = [-(-x) for x in series.values]  # fresh values, their terms not built
+        report = cli._render(cli._series(series, None))
+        return [dict(x.terms) for x in values], [epoly_to_json(x) for x in values], report
+
+    cast = reads()
+    monkeypatch.setattr(epoly, "_CAST", {})
+    assert reads() == cast
+    assert cast[0][0] == a
+
+
 def test_walk_reads_past_a_loose_v_span_bound():
-    # the sum keeps the wide value's bounds after it cancels: stride 64,
-    # vh 40, while the terms left span two v-exponents
+    # the sum keeps the wide value's bounds after it cancels: stride 64 and
+    # vh 40 over the band b - a, while the terms left lie in a band of two
+    # diagonals, 4 and 5, inside it
     wide = EPoly({(0, 0): 1, (0, 40): -1, (3, 33): 5})
-    narrow = {(1, 5): 3, (2, 7): -1, (4, 6): 2**40}
+    narrow = {(1, 5): 3, (2, 6): -1, (4, 9): 2**40}
     p = (wide + EPoly(narrow)) + -wide
     assert p._w == 64 and p._vh == 40 and p._ov == 0
-    assert max(pv for _, pv in narrow) - min(pv for _, pv in narrow) == 2
+    assert {pv - pu for pu, pv in narrow} == {4, 5}
     assert_matches(p, narrow)
+
+
+def test_band_diagonal_value_keeps_the_narrow_stride():
+    # a pu-span of 64 in a band 0..31 wide: the rows are 32 slots, where a
+    # stride over the v-span (94) would be 128
+    x = {(a, a + a % 32): (-1) ** a * (a + 1) for a in range(64)}
+    px = EPoly(x)
+    assert layout(px) == (32, 32) and px._vh == 31
+    assert_matches(px, x)
+    lx = lefschetz_power(40) * px  # a power of L moves the band along the diagonal
+    assert layout(lx) == (32, 32)
+    assert_matches(lx, ref_mul(x, {(40, 40): 1}))
+    y = {(0, 0): 1, (1, 1): -2}  # a polynomial in L has a band one diagonal wide
+    assert_matches(px * EPoly(y), ref_mul(x, y))
+    assert layout(px * EPoly(y)) == (32, 32)
 
 
 def test_offsets_down_to_minus_eight():
