@@ -15,7 +15,6 @@ import argparse
 import functools
 import re
 import sys
-import traceback
 from itertools import compress
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -490,6 +489,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:
+        import traceback
+
         traceback.print_exc()
         return 3
 

@@ -12,12 +12,13 @@ formulas are read off from them.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
     from .qseries import Window
+
+_setattr = object.__setattr__
 
 
 class InvalidProfile(ValueError):
@@ -32,29 +33,74 @@ def _int_tuple(what: str, xs) -> tuple[int, ...]:
     return xs
 
 
-@dataclass(frozen=True)
-class NestingProfile:
-    rank: int
-    s: tuple[int, ...]
-    coranks: tuple[int, ...] = field(init=False, compare=False, repr=False)
+def _frozen(verb: str, name: str):
+    from dataclasses import FrozenInstanceError
 
-    def __post_init__(self):
-        _int_tuple("rank", (self.rank,))
-        object.__setattr__(self, "s", _int_tuple("quotient ranks", self.s))
-        if self.rank < 1:
-            raise InvalidProfile(f"rank must be positive, got {self.rank}")
-        if not self.s:
+    raise FrozenInstanceError(f"cannot {verb} field {name!r}")
+
+
+class _Value:
+    """An immutable value with the behaviour of a frozen dataclass.
+
+    A subclass names its fields in ``_fields`` and stores them, once
+    validated, with ``_freeze``; the field tuple is kept as ``_key``.
+    Equality holds between instances of one class with equal keys, the
+    hash is the key's, and the repr is ``Name(field=value, ...)``.
+    Assigning or deleting an attribute raises ``FrozenInstanceError``, and
+    a pickle rebuilds the value from its fields through the constructor.
+    """
+
+    __slots__ = ("_key",)
+    _fields: tuple[str, ...] = ()
+
+    def _freeze(self, *values):
+        for name, value in zip(self._fields, values):
+            _setattr(self, name, value)
+        _setattr(self, "_key", values)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key == other._key
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._key))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._key
+
+    def __setattr__(self, name, value):
+        _frozen("assign to", name)
+
+    def __delattr__(self, name):
+        _frozen("delete", name)
+
+
+class NestingProfile(_Value):
+    _fields = ("rank", "s")
+    __slots__ = _fields + ("coranks",)
+
+    def __init__(self, rank: int, s: tuple[int, ...]):
+        _int_tuple("rank", (rank,))
+        s = _int_tuple("quotient ranks", s)
+        if rank < 1:
+            raise InvalidProfile(f"rank must be positive, got {rank}")
+        if not s:
             raise InvalidProfile("need at least one quotient rank")
         prev = 0
-        for x in self.s:
+        for x in s:
             if x < prev:
-                raise InvalidProfile(f"quotient ranks must be nondecreasing: {self.s}")
+                raise InvalidProfile(f"quotient ranks must be nondecreasing: {s}")
             prev = x
-        if self.s[0] < 0 or self.s[-1] > self.rank:
-            raise InvalidProfile(f"quotient ranks must lie in 0..{self.rank}: {self.s}")
+        if s[0] < 0 or s[-1] > rank:
+            raise InvalidProfile(f"quotient ranks must lie in 0..{rank}: {s}")
+        self._freeze(rank, s)
         # coranks[i] = r_i for i = 0..l+1
-        cor = (self.rank,) + tuple(self.rank - x for x in self.s) + (0,)
-        object.__setattr__(self, "coranks", cor)
+        _setattr(self, "coranks", (rank,) + tuple(rank - x for x in s) + (0,))
 
     @property
     def length(self) -> int:
@@ -80,14 +126,14 @@ class NestingProfile:
         return sum(r >= alpha for r in self.coranks[1:])
 
 
-@dataclass(frozen=True)
-class BundleSpec:
-    degrees: tuple[int, ...]
+class BundleSpec(_Value):
+    __slots__ = _fields = ("degrees",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "degrees", _int_tuple("degrees", self.degrees))
-        if not self.degrees:
+    def __init__(self, degrees: tuple[int, ...]):
+        degrees = _int_tuple("degrees", degrees)
+        if not degrees:
             raise InvalidProfile("bundle needs at least one line-bundle summand")
+        self._freeze(degrees)
 
     @property
     def rank(self) -> int:
@@ -102,18 +148,17 @@ class BundleSpec:
         return max(self.degrees) - min(self.degrees)
 
 
-@dataclass(frozen=True)
-class CurveSpec:
-    genus: int
+class CurveSpec(_Value):
+    __slots__ = _fields = ("genus",)
 
-    def __post_init__(self):
-        _int_tuple("genus", (self.genus,))
-        if self.genus < 0:
-            raise InvalidProfile(f"genus must be >= 0, got {self.genus}")
+    def __init__(self, genus: int):
+        _int_tuple("genus", (genus,))
+        if genus < 0:
+            raise InvalidProfile(f"genus must be >= 0, got {genus}")
+        self._freeze(genus)
 
 
-@dataclass(frozen=True)
-class BlockPermutation:
+class BlockPermutation(_Value):
     """A permutation of {1..r} increasing on every corank block.
 
     ``sigma(alpha)`` is available through call syntax with the 1-based
@@ -131,12 +176,10 @@ class BlockPermutation:
       stratum weights sum_{k=i..j} stratum_weight(k, alpha).
     """
 
-    profile: NestingProfile
-    values: tuple[int, ...]
+    __slots__ = _fields = ("profile", "values")
 
-    def __post_init__(self):
-        profile = self.profile
-        values = _int_tuple("block permutation", self.values)
+    def __init__(self, profile: NestingProfile, values: tuple[int, ...]):
+        values = _int_tuple("block permutation", values)
         if sorted(values) != list(range(1, profile.rank + 1)):
             raise InvalidProfile(f"not a permutation of 1..{profile.rank}: {values}")
         for j in range(profile.length + 1):
@@ -146,7 +189,7 @@ class BlockPermutation:
                     raise InvalidProfile(
                         f"{values} not increasing on block {tuple(block)}"
                     )
-        object.__setattr__(self, "values", values)
+        self._freeze(profile, values)
 
     def __call__(self, alpha: int) -> int:
         return self.values[alpha - 1]

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import re
 import sys
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
 
 from .combinat import NestingProfile, _int_tuple
 

@@ -11,13 +11,12 @@ module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .combinat import (
     BlockPermutation,
     BundleSpec,
     CurveSpec,
     NestingProfile,
+    _Value,
     block_permutations,
     check_shape,
 )
@@ -26,16 +25,24 @@ from .epoly import ZERO, EPoly, lefschetz_power
 from .qseries import MSeries, Window
 
 
-@dataclass(frozen=True, eq=False)
-class FixedComponent:
+class FixedComponent(_Value):
     """One torus-fixed component: sigma plus, for each slot alpha <= r_1,
     the nondecreasing lengths (n_{1,alpha} <= ... <= n_{j,alpha}) where j is
     alpha's block index.  The multidegree d is derived:
     d_j = sum_{alpha <= r_j} n_{j,alpha} + (degree prefactor of sigma at j)."""
 
-    sigma: BlockPermutation
-    lengths: tuple[tuple[int, ...], ...]
-    degree: tuple[int, ...]
+    __slots__ = _fields = ("sigma", "lengths", "degree")
+    # components are compared by identity
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(
+        self,
+        sigma: BlockPermutation,
+        lengths: tuple[tuple[int, ...], ...],
+        degree: tuple[int, ...],
+    ):
+        self._freeze(sigma, lengths, degree)
 
 
 def enumerate_fixed_components(

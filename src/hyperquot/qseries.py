@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 
-from .combinat import _int_tuple
+from .combinat import _int_tuple, _Value
 from .epoly import ONE, ZERO, EPoly, _axpy, _coerce, epoly_from_json, epoly_to_json
 
 
@@ -33,21 +32,20 @@ class OutOfWindow(KeyError):
     """Coefficient requested at a degree outside the window."""
 
 
-@dataclass(frozen=True)
-class Window:
-    lo: tuple[int, ...]
-    hi: tuple[int, ...]
+class Window(_Value):
+    __slots__ = _fields = ("lo", "hi")
 
-    def __post_init__(self):
-        object.__setattr__(self, "lo", _int_tuple("window lo", self.lo))
-        object.__setattr__(self, "hi", _int_tuple("window hi", self.hi))
-        if len(self.lo) != len(self.hi):
+    def __init__(self, lo: tuple[int, ...], hi: tuple[int, ...]):
+        lo = _int_tuple("window lo", lo)
+        hi = _int_tuple("window hi", hi)
+        if len(lo) != len(hi):
             raise WindowMismatch("window bounds of different lengths")
-        if not self.lo:
+        if not lo:
             raise WindowMismatch("window must have at least one variable")
-        for a, b in zip(self.lo, self.hi):
+        for a, b in zip(lo, hi):
             if a > b:
-                raise WindowMismatch(f"empty window: lo={self.lo}, hi={self.hi}")
+                raise WindowMismatch(f"empty window: lo={lo}, hi={hi}")
+        self._freeze(lo, hi)
 
     @property
     def arity(self) -> int:

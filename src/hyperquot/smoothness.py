@@ -15,18 +15,17 @@ are not part of the input data, so it is never certified here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .combinat import BundleSpec, CurveSpec, NestingProfile, check_shape
+from .combinat import BundleSpec, CurveSpec, NestingProfile, _Value, check_shape
 
 SMOOTH = "Smooth"
 UNKNOWN = "Unknown"
 
 
-@dataclass(frozen=True)
-class SmoothnessVerdict:
-    status: str
-    reason: str
+class SmoothnessVerdict(_Value):
+    __slots__ = _fields = ("status", "reason")
+
+    def __init__(self, status: str, reason: str):
+        self._freeze(status, reason)
 
     @property
     def is_smooth(self) -> bool:

@@ -346,6 +346,25 @@ def test_import_leaves_the_process_pool_unloaded():
     assert out.strip() == "False"
 
 
+def test_import_loads_no_heavy_stdlib_module():
+    # the value classes need no dataclasses (nor its inspect), traceback
+    # loads on the crash path and annotations need no typing; the set
+    # difference leaves out what the stdlib modules cli imports bring along
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = "\n".join([
+        "import argparse, json, re, sys",
+        "before = set(sys.modules)",
+        "import hyperquot.cli",
+        "added = set(sys.modules) - before",
+        "print(sorted(added & {'dataclasses', 'inspect', 'traceback', 'typing'}))",
+    ])
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
+
+
 def test_compute_text_output(capsys):
     code, out, err = run(
         capsys, "compute", "--genus", "0", "--degrees", "0,0", "--s", "1", "--dmax", "1",

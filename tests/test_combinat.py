@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import pickle
 
 import pytest
 
@@ -17,7 +18,9 @@ from hyperquot.combinat import (
     stratum_weight_identity,
     virtual_dimension,
 )
+from hyperquot.oracle import FixedComponent
 from hyperquot.qseries import Window
+from hyperquot.smoothness import SmoothnessVerdict
 
 
 def all_profiles(rmax, lmax, rmin=1):
@@ -124,6 +127,54 @@ def test_equal_profiles_give_equal_sigmas():
         assert a is not b
         assert hash(a) == hash(b)
     assert len(set(cached) | set(fresh)) == len(cached)
+
+
+PROFILE = NestingProfile(3, (1, 2))
+SIGMA = BlockPermutation(PROFILE, (2, 1, 3))
+SIGMA_REPR = "BlockPermutation(profile=NestingProfile(rank=3, s=(1, 2)), values=(2, 1, 3))"
+# each value class: a value built by keyword, the positional arguments that
+# build an equal one, and the repr a frozen dataclass gives it
+VALUES = [
+    (PROFILE, NestingProfile, (3, [1, 2]), "NestingProfile(rank=3, s=(1, 2))"),
+    (BundleSpec(degrees=(0, -1)), BundleSpec, ([0, -1],), "BundleSpec(degrees=(0, -1))"),
+    (CurveSpec(genus=2), CurveSpec, (2,), "CurveSpec(genus=2)"),
+    (BlockPermutation(profile=PROFILE, values=(2, 1, 3)), BlockPermutation,
+     (PROFILE, [2, 1, 3]), SIGMA_REPR),
+    (Window(lo=(0,), hi=(1,)), Window, ((0,), (1,)), "Window(lo=(0,), hi=(1,))"),
+    (SmoothnessVerdict(status="Smooth", reason="r"), SmoothnessVerdict, ("Smooth", "r"),
+     "SmoothnessVerdict(status='Smooth', reason='r')"),
+    (FixedComponent(sigma=SIGMA, lengths=((1,), (0, 2)), degree=(1, 2)), FixedComponent,
+     (SIGMA, ((1,), (0, 2)), (1, 2)),
+     f"FixedComponent(sigma={SIGMA_REPR}, lengths=((1,), (0, 2)), degree=(1, 2))"),
+]
+
+
+@pytest.mark.parametrize("value, cls, args, text", VALUES, ids=[v[1].__name__ for v in VALUES])
+def test_value_classes_behave_as_frozen_dataclasses(value, cls, args, text):
+    assert type(value) is cls and repr(value) == text
+    again = pickle.loads(pickle.dumps(value))
+    assert type(again) is cls and repr(again) == text
+    for name in value._fields:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(value, name)
+    other = cls(*args)
+    if cls is FixedComponent:
+        # compared by identity, hashed as objects
+        assert other != value and value == value and again != value
+        assert hash(value) == object.__hash__(value)
+    else:
+        assert other == value and hash(other) == hash(value) == hash(value._key)
+        assert again == value and hash(again) == hash(value)
+    # equal fields in another class, or in a tuple, are not an equal value
+    assert value != value._key and value._key != value
+    assert all(value != v for v, *_ in VALUES if v is not value)
+
+
+def test_equal_fields_of_two_classes_are_not_equal():
+    window, verdict = Window((0,), (1,)), SmoothnessVerdict((0,), (1,))
+    assert window._key == verdict._key and window != verdict
 
 
 def recount_offset(sigma, i, genus, degrees):

@@ -103,6 +103,27 @@ def test_prefactor_shift_scales_with_quotient_rank():
         assert twisted.coefficient((d + c,)) == plain.coefficient((d,))
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_twist_shifts_the_series(data):
+    # Quot(E (x) L) = Quot(E) with d_j moved by deg(L) s_j: twisting every
+    # summand by a degree-c line bundle shifts the series by c * s
+    draw = data.draw
+    rank = draw(st.integers(1, 4))
+    length = draw(st.integers(1, 3))
+    s = tuple(sorted(draw(st.lists(st.integers(0, rank), min_size=length, max_size=length))))
+    profile = NestingProfile(rank, s)
+    bundle = BundleSpec(draw(st.lists(st.integers(-2, 2), min_size=rank, max_size=rank)))
+    curve, c = CurveSpec(draw(st.integers(0, 3))), draw(st.integers(-3, 3))
+    lo = tuple(a + draw(st.integers(-1, 2)) for a in default_lower_bounds(bundle, profile))
+    hi = tuple(a + draw(st.integers(0, 3)) for a in lo)
+    twist = BundleSpec(tuple(x + c for x in bundle.degrees))
+    moved = Window(tuple(a + c * x for a, x in zip(lo, s)), tuple(b + c * x for b, x in zip(hi, s)))
+    for fn in (motivic_partition_function, euler_partition_function):
+        plain = fn(curve, bundle, profile, Window(lo, hi))
+        assert fn(curve, twist, profile, moved).values == plain.values
+
+
 def test_unnested_matches_general():
     # single-step profiles: quotients of one fixed rank
     from hyperquot.oracle import oracle_partition_function
