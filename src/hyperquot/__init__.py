@@ -4,127 +4,7 @@ Coefficients live in the E-polynomial realization of the Grothendieck ring
 of varieties; series are windowed Laurent series over the multidegree
 lattice.  The closed formulas are verified against a brute-force
 fixed-component enumeration (the ``oracle`` module).
+
+The package root exports nothing: each name is imported from its module
+(``hyperquot.formulas``, ``hyperquot.qseries``, ``hyperquot.epoly``, ...).
 """
-
-from .combinat import (
-    BlockPermutation,
-    BundleSpec,
-    CurveSpec,
-    InvalidProfile,
-    NestingProfile,
-    block_permutations,
-    flag_dimension,
-    stratum_weight_identity,
-    virtual_dimension,
-)
-from .curve_motives import (
-    InvalidTuple,
-    nested_hilb_class,
-    sym_class,
-    sym_classes,
-    zeta_divide,
-    zeta_eval,
-    zeta_rationality_check,
-)
-from .epoly import (
-    LEFSCHETZ,
-    ONE,
-    ZERO,
-    EPoly,
-    NegativeExponent,
-    chi_y_polynomial,
-    epoly_from_json,
-    epoly_to_json,
-    euler_number,
-    flag_motive,
-    format_epoly,
-    lefschetz_power,
-    poincare_polynomial,
-)
-from .formulas import (
-    default_lower_bounds,
-    euler_partition_function,
-    fixed_component_counts,
-    genus0_closed_form,
-    motivic_partition_function,
-)
-from .oracle import (
-    FixedComponent,
-    bb_stratum_dimension,
-    enumerate_fixed_components,
-    oracle_partition_function,
-)
-from .qseries import (
-    InvalidMonomial,
-    MSeries,
-    OutOfWindow,
-    Window,
-    WindowMismatch,
-    geometric_divide,
-    geometric_inverse,
-    multiply_sparse,
-    one_series,
-    series_from_json,
-    series_monomial,
-    series_to_json,
-    shift_rewindow,
-    zero_series,
-)
-from .smoothness import SmoothnessVerdict, smoothness_status
-
-__all__ = [
-    "BlockPermutation",
-    "BundleSpec",
-    "CurveSpec",
-    "EPoly",
-    "FixedComponent",
-    "InvalidMonomial",
-    "InvalidProfile",
-    "InvalidTuple",
-    "LEFSCHETZ",
-    "MSeries",
-    "NegativeExponent",
-    "NestingProfile",
-    "ONE",
-    "OutOfWindow",
-    "SmoothnessVerdict",
-    "Window",
-    "WindowMismatch",
-    "ZERO",
-    "bb_stratum_dimension",
-    "block_permutations",
-    "chi_y_polynomial",
-    "default_lower_bounds",
-    "enumerate_fixed_components",
-    "epoly_from_json",
-    "epoly_to_json",
-    "euler_number",
-    "euler_partition_function",
-    "fixed_component_counts",
-    "flag_dimension",
-    "flag_motive",
-    "format_epoly",
-    "genus0_closed_form",
-    "geometric_divide",
-    "geometric_inverse",
-    "lefschetz_power",
-    "motivic_partition_function",
-    "multiply_sparse",
-    "nested_hilb_class",
-    "one_series",
-    "oracle_partition_function",
-    "poincare_polynomial",
-    "series_from_json",
-    "series_monomial",
-    "series_to_json",
-    "shift_rewindow",
-    "smoothness_status",
-    "stratum_weight_identity",
-    "sym_class",
-    "sym_classes",
-    "virtual_dimension",
-    "zero_series",
-    "zeta_divide",
-    "zeta_eval",
-    "zeta_rationality_check",
-]

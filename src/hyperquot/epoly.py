@@ -49,7 +49,7 @@ class EPoly:
     most values of one computation share it.  A sum is one aligned bigint
     add.  A product with a one-slot factor (a monomial) is one ``_axpy``
     carry, which moves the offsets and scales the integer; a sparse factor,
-    with fewer terms than the square root of its slot count, uses
+    with at most as many terms as the square root of its slot count, uses
     shift-and-add over its terms, and anything else is one bigint multiply.
 
     K and W come from bounds that travel with each value, exact for a value

@@ -133,7 +133,7 @@ class MSeries:
         return [(d, c) for d, c in zip(self.window.cells(), self.values) if c]
 
     def coefficient(self, d: tuple[int, ...]) -> EPoly:
-        d = tuple(d)
+        d = _int_tuple("degree", d)
         if not self.window.contains(d):
             raise OutOfWindow(f"degree {d} outside window {self.window}")
         return self.values[self.window.index(d)]
@@ -145,12 +145,16 @@ class MSeries:
             )
 
     def __add__(self, other: MSeries) -> MSeries:
+        if not isinstance(other, MSeries):
+            return NotImplemented
         self._check_same_window(other)
         out = list(self.values)
         _axpy(out, other.values, ONE, enumerate(range(len(out))))
         return _dense(self.window, out)
 
     def __mul__(self, other: MSeries) -> MSeries:
+        if not isinstance(other, MSeries):
+            return NotImplemented
         self._check_same_window(other)
         return multiply_sparse(self, other.items())
 

@@ -60,6 +60,8 @@ def test_constructor_coerces_coefficients():
     for d in ((True,), (False,), (1.0,)):
         with pytest.raises(TypeError):
             MSeries(w, {d: 1})
+        with pytest.raises(TypeError):
+            s.coefficient(d)
     # so is an int coefficient of every kernel
     one, two = one_series(w), series_monomial(w, (1,), 2)
     assert multiply_sparse(one, [((1,), 2)]) == two
@@ -127,6 +129,14 @@ def test_window_mismatch():
         _ = a + b
     with pytest.raises(WindowMismatch):
         _ = a * b
+
+
+def test_arithmetic_with_a_non_series_is_a_type_error():
+    a = one_series(Window((0,), (3,)))
+    with pytest.raises(TypeError):
+        _ = a + 1
+    with pytest.raises(TypeError):
+        _ = a * 2
 
 
 def test_restrict_coherence_direct_constructors():
