@@ -7,6 +7,11 @@ pipeline: parse, take the smoothness verdict, run the command (its exit
 code and two thunks, the JSON result and the text lines), emit.  The
 verdict is evaluated once, before the command, which gets it as a value;
 every error it can raise is an invalid-input error the command raises too.
+
+A ``verify`` suite is an entry of ``SUITES``: a function (config, verdict)
+-> (checked, mismatch), mismatch None when the suite passes.  A suite that
+checks coefficient by coefficient reports its first mismatch, and
+``checked`` counts up to and including it.
 """
 
 from __future__ import annotations
@@ -51,7 +56,6 @@ from .oracle import oracle_partition_function
 from .qseries import MSeries, Window, WindowMismatch
 from .smoothness import SMOOTH, UNKNOWN, SmoothnessVerdict, smoothness_status
 
-SUITES = ("oracle", "genus0", "euler_spec", "lemma_h", "duality", "zeta_rat", "b0")
 # Each realization's coefficient specialization and its variable; motivic
 # and Euler series keep their E-polynomial coefficients.
 REALIZATIONS = {
@@ -306,76 +310,100 @@ def cmd_compute(config: argparse.Namespace, verdict):
 # -- verify -------------------------------------------------------------------
 
 
-def _series_mismatch(lhs: MSeries, rhs: MSeries, lhs_name: str, rhs_name: str):
+def _first(checks) -> tuple:
+    """``(checks made, first mismatch)`` of a stream of mismatch-or-None:
+    the count runs up to and including the first mismatch."""
+    checked = 0
+    for checked, mismatch in enumerate(checks, 1):
+        if mismatch is not None:
+            return checked, mismatch
+    return checked, None
+
+
+def _cells(lhs: MSeries, rhs: MSeries, left: str, right: str):
+    """Per window cell, None where the two series agree, else the mismatch,
+    which names the two coefficients ``left`` and ``right``."""
     for d, a, b in zip(lhs.window.cells(), lhs.values, rhs.values):
-        if a != b:
-            return {
-                "d": list(d),
-                lhs_name: format_epoly(a),
-                rhs_name: format_epoly(b),
-            }
-    return None
+        yield None if a == b else {"d": list(d), left: format_epoly(a), right: format_epoly(b)}
+
+
+def _genus0(config: argparse.Namespace):
+    """The geometry and window of a genus-0 suite, and its product form."""
+    geometry = _setup(config)
+    if config.genus != 0:
+        raise InputError(f"suite {config.suite} needs --genus 0")
+    if geometry[1].max_gap:
+        raise InputError("this suite needs all summand degrees equal")
+    return geometry, genus0_closed_form(*geometry[1:])
+
+
+def _verify_oracle(config: argparse.Namespace, verdict):
+    geometry = _setup(config)
+    series = motivic_partition_function(*geometry, parallel=config.parallel)
+    rhs = oracle_partition_function(*geometry)
+    return _first(_cells(series, rhs, "formula", "enumeration"))
+
+
+def _verify_genus0(config: argparse.Namespace, verdict):
+    geometry, product = _genus0(config)
+    series = motivic_partition_function(*geometry, parallel=config.parallel)
+    return _first(_cells(series, product, "fixed_locus_sum", "product_form"))
+
+
+def _verify_euler_spec(config: argparse.Namespace, verdict):
+    geometry = _setup(config)
+    series = motivic_partition_function(*geometry, parallel=config.parallel)
+    lhs = MSeries(series.window, {d: euler_number(c) for d, c in series.items()})
+    rhs = euler_partition_function(*geometry)
+    return _first(_cells(lhs, rhs, "specialized", "euler_series"))
+
+
+def _verify_lemma_h(config: argparse.Namespace, verdict):
+    _require(config, "degrees", "s")
+    profile = NestingProfile(len(config.degrees), config.s)
+    checked = len(block_permutations(profile))
+    detail = "telescoped stratum weights disagree with zeta exponents"
+    return checked, None if stratum_weight_identity(profile) else {"detail": detail}
+
+
+def _verify_duality(config: argparse.Namespace, verdict):
+    curve, bundle, profile, _ = geometry = _setup(config)
+    if not verdict.is_smooth:
+        raise InputError("suite duality needs a Smooth verdict or --assume-smooth")
+    series = motivic_partition_function(*geometry, parallel=config.parallel)
+
+    def check(d, c):
+        vd = virtual_dimension(profile, d, curve.genus, bundle.total_degree)
+        if c.top_degree() != vd or c.reversal(vd) != c:
+            return {"d": list(d), "coefficient": format_epoly(c), "virtual_dimension": vd}
+        return None
+
+    return _first(check(d, c) for d, c in series.items())
+
+
+def _verify_zeta_rat(config: argparse.Namespace, verdict):
+    _require(config, "genus")
+    g = CurveSpec(config.genus).genus
+    ok = zeta_rationality_check(g, 2 * g + 10)  # numerator coefficients 2g+1 .. 2g+10
+    return 10, None if ok else {"detail": f"numerator degree exceeds {2 * g}"}
+
+
+def _verify_b0(config: argparse.Namespace, verdict):
+    _, product = _genus0(config)
+    b0s = ((d, poincare_polynomial(c).get(0, 0)) for d, c in product.items())
+    return _first(None if b0 == 1 else {"d": list(d), "b0": b0} for d, b0 in b0s)
+
+
+SUITES = {
+    "oracle": _verify_oracle, "genus0": _verify_genus0, "euler_spec": _verify_euler_spec,
+    "lemma_h": _verify_lemma_h, "duality": _verify_duality, "zeta_rat": _verify_zeta_rat,
+    "b0": _verify_b0,
+}
 
 
 def cmd_verify(config: argparse.Namespace, verdict):
     suite = config.suite
-    checked = 0
-    mismatch = None
-
-    if suite == "zeta_rat":
-        _require(config, "genus")
-        g = CurveSpec(config.genus).genus
-        checked = 10  # numerator coefficients 2g+1 .. 2g+10
-        if not zeta_rationality_check(g, 2 * g + 10):
-            mismatch = {"detail": f"numerator degree exceeds {2 * g}"}
-    elif suite == "lemma_h":
-        _require(config, "degrees", "s")
-        profile = NestingProfile(len(config.degrees), config.s)
-        checked = len(block_permutations(profile))
-        if not stratum_weight_identity(profile):
-            mismatch = {"detail": "telescoped stratum weights disagree with zeta exponents"}
-    else:
-        curve, bundle, profile, window = _setup(config)
-        if suite in ("genus0", "b0"):
-            if config.genus != 0:
-                raise InputError(f"suite {suite} needs --genus 0")
-            if bundle.max_gap:
-                raise InputError("this suite needs all summand degrees equal")
-            product = genus0_closed_form(bundle, profile, window)
-        if suite == "duality" and not verdict.is_smooth:
-            raise InputError("suite duality needs a Smooth verdict or --assume-smooth")
-        series = product if suite == "b0" else motivic_partition_function(
-            curve, bundle, profile, window, parallel=config.parallel
-        )
-        if suite in ("duality", "b0"):
-            for d, c in series.items():
-                checked += 1
-                if suite == "b0":
-                    b0 = poincare_polynomial(c).get(0, 0)
-                    if b0 != 1:
-                        mismatch = {"d": list(d), "b0": b0}
-                else:
-                    vd = virtual_dimension(profile, d, curve.genus, bundle.total_degree)
-                    if c.top_degree() != vd or c.reversal(vd) != c:
-                        mismatch = {
-                            "d": list(d),
-                            "coefficient": format_epoly(c),
-                            "virtual_dimension": vd,
-                        }
-                if mismatch:
-                    break
-        else:
-            checked = window.size
-            if suite == "oracle":
-                rhs = oracle_partition_function(curve, bundle, profile, window)
-                mismatch = _series_mismatch(series, rhs, "formula", "enumeration")
-            elif suite == "genus0":
-                mismatch = _series_mismatch(series, product, "fixed_locus_sum", "product_form")
-            else:
-                lhs = MSeries(window, {d: euler_number(c) for d, c in series.items()})
-                rhs = euler_partition_function(curve, bundle, profile, window)
-                mismatch = _series_mismatch(lhs, rhs, "specialized", "euler_series")
-
+    checked, mismatch = SUITES[suite](config, verdict)
     passed = mismatch is None
     result = {"suite": suite, "passed": passed, "checked": checked, "mismatch": mismatch}
     lines = [f"suite {suite}: {'PASS' if passed else 'FAIL'} ({checked} checks)"]

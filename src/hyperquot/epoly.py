@@ -148,6 +148,9 @@ class EPoly:
     def __sub__(self, other) -> EPoly:
         return self + (-_coerce(other))
 
+    def __rsub__(self, other) -> EPoly:
+        return _coerce(other) - self
+
     def __mul__(self, other) -> EPoly:
         if type(other) is not EPoly:
             other = _coerce(other)

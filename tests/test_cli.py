@@ -1,5 +1,7 @@
 """Command-line surface: exit codes, JSON round-trips, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperquot import cli
 from hyperquot.cli import main
@@ -107,22 +111,71 @@ def test_laurent_specialization_exit_code(capsys):
         assert out == ""
 
 
-@pytest.mark.parametrize(
-    "suite,extra",
-    [
-        ("oracle", ["--genus", "2", "--degrees", "0,-1,1", "--s", "1,2", "--dmax", "2,2"]),
-        ("genus0", ["--genus", "0", "--degrees", "0,0,0", "--s", "1,2", "--dmax", "3,3"]),
-        ("euler_spec", ["--genus", "1", "--degrees", "0,2", "--s", "1", "--dmax", "3"]),
-        ("lemma_h", ["--degrees", "0,0,0,0", "--s", "2,3"]),
-        ("duality", ["--genus", "0", "--degrees", "0,1", "--s", "1", "--dmax", "3"]),
-        ("zeta_rat", ["--genus", "3"]),
-        ("b0", ["--genus", "0", "--degrees", "0,0,0", "--s", "2", "--dmax", "4"]),
-    ],
-)
+PASSING_SUITES = [
+    ("oracle", ["--genus", "2", "--degrees", "0,-1,1", "--s", "1,2", "--dmax", "2,2"]),
+    ("genus0", ["--genus", "0", "--degrees", "0,0,0", "--s", "1,2", "--dmax", "3,3"]),
+    ("euler_spec", ["--genus", "1", "--degrees", "0,2", "--s", "1", "--dmax", "3"]),
+    ("lemma_h", ["--degrees", "0,0,0,0", "--s", "2,3"]),
+    ("duality", ["--genus", "0", "--degrees", "0,1", "--s", "1", "--dmax", "3"]),
+    ("zeta_rat", ["--genus", "3"]),
+    ("b0", ["--genus", "0", "--degrees", "0,0,0", "--s", "2", "--dmax", "4"]),
+]
+
+
+@pytest.mark.parametrize("suite,extra", PASSING_SUITES)
 def test_verify_suites_pass(capsys, suite, extra):
     code, out, err = run(capsys, "verify", "--suite", suite, *extra)
     assert code == 0, (out, err)
     assert "PASS" in out
+
+
+def test_every_suite_has_a_passing_case():
+    assert {suite for suite, _ in PASSING_SUITES} == set(cli.SUITES)
+
+
+def _ints(lo: int, hi: int, size: int):
+    """A value flag: ``size`` comma-separated integers in lo..hi."""
+    lists = st.lists(st.integers(lo, hi), min_size=size, max_size=size)
+    return lists.map(lambda xs: ",".join(map(str, xs)))
+
+
+@st.composite
+def verify_argv(draw):
+    """``verify`` argv for any suite over small geometries, some of them invalid."""
+    rank, length = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    s = sorted(draw(st.sets(st.integers(1, 3), min_size=length, max_size=length)))
+    argv = [
+        "verify", "--suite", draw(st.sampled_from(sorted(cli.SUITES))),
+        "--genus", str(draw(st.integers(0, 2))),
+        "--degrees", draw(_ints(-2, 2, rank)),
+        "--s", ",".join(map(str, s)),
+        "--dmax", draw(_ints(-3, 3, length)),
+        "--format", draw(st.sampled_from(["text", "json"])),
+    ]
+    if draw(st.booleans()):
+        argv += ["--dmin", draw(_ints(-3, 3, length))]
+    if draw(st.booleans()):
+        argv.append("--assume-smooth")
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(verify_argv())
+def test_verify_exit_code_contract(argv):
+    # 0 passed, 2 refused with nothing on stdout; 1 (failed) only from
+    # duality under --assume-smooth: the other suites' identities hold on
+    # every input, and duality's only on a smooth scheme
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if "--assume-smooth" in argv and argv[2] == "duality":
+        assert code in (0, 1, 2), err.getvalue()
+    else:
+        assert code in (0, 2), err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""
+    elif "json" in argv:
+        assert json.loads(out.getvalue())["result"]["passed"] is (code == 0)
 
 
 def test_verify_duality_requires_certificate(capsys):
@@ -187,11 +240,17 @@ def _wrong_series(*args):
     ],
 )
 def test_verify_suites_fail(capsys, monkeypatch, suite, target, wrong, extra, keys):
-    monkeypatch.setattr(cli, target, wrong)
+    calls = []
+    monkeypatch.setattr(cli, target, lambda *args: calls.append(args) or wrong(*args))
     code, doc = run_json(capsys, "verify", "--suite", suite, *extra)
     assert code == 1
     assert doc["result"]["passed"] is False
     assert set(doc["result"]["mismatch"]) == keys
+    if suite in ("oracle", "genus0", "euler_spec"):
+        # a series suite counts the window's cells up to and including the mismatch
+        window = calls[0][-1]
+        d = tuple(doc["result"]["mismatch"]["d"])
+        assert doc["result"]["checked"] == 1 + window.index(d)
     code, out, err = run(capsys, "verify", "--suite", suite, *extra)
     assert code == 1
     assert f"suite {suite}: FAIL" in out

@@ -204,6 +204,13 @@ def test_unknown_dispatch_targets():
         ONE ** 2
 
 
+def test_int_on_either_side():
+    # an int operand coerces to a constant on the left as on the right
+    assert 1 + L == L + 1 == EPoly({(0, 0): 1, (1, 1): 1})
+    assert 2 * L == L * 2 == EPoly({(1, 1): 2})
+    assert 1 - L == -(L - 1) == EPoly({(0, 0): 1, (1, 1): -1})
+
+
 def test_format():
     assert format_epoly(ZERO) == "0"
     assert format_epoly(ONE + L) == "1 + L"
@@ -606,6 +613,8 @@ def test_constructor_rejects_non_integers():
         ONE + True
     with pytest.raises(TypeError):
         True * ONE
+    with pytest.raises(TypeError):
+        True - ONE
     # so a bool is not an int to __eq__ either: unequal, and no error
     assert not (ONE == True) and not (True == ONE) and ONE != True
     assert not (ZERO == False) and ZERO != False
