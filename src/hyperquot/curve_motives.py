@@ -64,13 +64,15 @@ def zeta_rationality_check(genus: int, order: int) -> bool:
     if order < 2 * genus + 2:
         raise ValueError("order must be at least 2*genus + 2")
     c = sym_classes(genus, order)
-    one_plus_l = ONE + LEFSCHETZ
+    # the t**n coefficient of (1 - t)(1 - L t) Z(t) is
+    # c[n] - c[n-1] - L (c[n-1] - c[n-2]) with c[-1] = 0, so the only
+    # product is by the monomial L
+    prev = c[2 * genus] - c[2 * genus - 1] if genus else c[0]
     for n in range(2 * genus + 1, order + 1):
-        p = c[n] - one_plus_l * c[n - 1]
-        if n >= 2:
-            p = p + LEFSCHETZ * c[n - 2]
-        if p:
+        diff = c[n] - c[n - 1]
+        if diff - LEFSCHETZ * prev:
             return False
+        prev = diff
     return True
 
 

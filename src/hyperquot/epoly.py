@@ -47,20 +47,20 @@ class EPoly:
     products of packed integers are those of the values.  The layout is
     coarse: K is a multiple of 32 and W a power of two of at least 32, so
     most values of one computation share it.  A sum is one aligned bigint
-    add.  A product with a one-slot factor (a monomial) is one ``_axpy``
-    carry, which moves the offsets and scales the integer; a sparse factor,
-    with at most as many terms as the square root of its slot count, uses
-    shift-and-add over its terms, and anything else is one bigint multiply.
+    add.  A product is a one-slot carry or one bigint multiply: with a
+    one-slot factor (a monomial) it is one ``_axpy`` carry, which moves the
+    offsets and scales the integer, and otherwise one multiply of the two
+    integers repacked to a common layout.
 
     K and W come from bounds that travel with each value, exact for a value
     built from its terms: ``vh`` >= every ``b - a - ov`` and ``inf`` >=
     every ``|c|``.  A sum has ``inf <= inf_a + inf_b``; a product has
     ``vh <= vh_a + vh_b`` and ``inf`` at most the inf of one operand times
-    the sum of the ``|c|`` of the other, whose terms the product decodes
-    anyway.  A result keeps the wider of its operands' K and W, widening K
-    to the next multiple of 32 above the bit length of ``inf`` or W to the
-    next power of two above ``vh`` only when a bound needs it; an operand
-    in a narrower layout is repacked.
+    the sum of the ``|c|`` of the other, the one with fewer slots, whose
+    terms the product decodes for this bound.  A result keeps the wider of
+    its operands' K and W, widening K to the next multiple of 32 above the
+    bit length of ``inf`` or W to the next power of two above ``vh`` only
+    when a bound needs it; an operand in a narrower layout is repacked.
 
     Digits are read by one row reader, ``_rows``: it yields each row's
     u-exponent, its first v-exponent and the signed digits of its first
@@ -155,22 +155,15 @@ class EPoly:
         if type(other) is not EPoly:
             other = _coerce(other)
         a, b = self, other
-        an, bn = a._n, b._n
-        if not an or not bn:
+        if not a._n or not b._n:
             return ZERO
-        abits, bbits = an.bit_length(), bn.bit_length()
-        if abits < a._k or bbits < b._k:  # a one-slot factor: one _axpy carry
-            c, x = (a, b) if abits < a._k else (b, a)
+        if a._n.bit_length() // a._k > b._n.bit_length() // b._k:
+            a, b = b, a  # a has the fewer slots, so its terms are the ones decoded
+        if a._n.bit_length() < a._k:  # a one-slot factor: one _axpy carry
             out = [ZERO]
-            _axpy(out, [x], c, ((0, 0),))
+            _axpy(out, [b], a, ((0, 0),))
             return out[0]
-        slots, bslots = abits // a._k, bbits // b._k
-        if slots > bslots:
-            a, b, slots = b, a, bslots
-        t = a.terms
-        inf = b._inf * sum(map(abs, t.values()))
-        if len(t) ** 2 <= slots:
-            return _shift_add(b, a, t, inf)
+        inf = b._inf * sum(map(abs, a.terms.values()))
         vh = a._vh + b._vh
         k, w = _layout(a._k if a._k >= b._k else b._k, a._w if a._w >= b._w else b._w, inf, vh)
         n = _repack(a, k, w) * _repack(b, k, w)
@@ -331,25 +324,6 @@ def _repack(x: EPoly, k: int, w: int) -> int:
         row = w1 * kb
         src = (fill * (w - w1)).join([src[i : i + row] for i in range(0, len(src), row)])
     return int.from_bytes(src, "little") - int.from_bytes(fill * (len(src) // kb), "little")
-
-
-def _shift_add(x: EPoly, s: EPoly, terms, inf: int) -> EPoly:
-    """x times s, whose terms are given, with inf bounding every |c| of the
-    product: one shifted copy of x per term."""
-    vh = x._vh + s._vh
-    k, w = _layout(x._k, x._w, inf, vh)
-    base = _repack(x, k, w)
-    su, sv = s._ou, s._ov
-    n = 0
-    for (pu, pv), c in terms.items():
-        shifted = base << k * ((pu - su) * w + pv - pu - sv)
-        if c == 1:
-            n += shifted
-        elif c == -1:
-            n -= shifted
-        else:
-            n += shifted * c
-    return _new(n, x._ou + su, x._ov + sv, k, w, vh, inf)
 
 
 def _axpy(out: list[EPoly], src: list[EPoly], c: EPoly, pairs: Iterable[tuple[int, int]]):

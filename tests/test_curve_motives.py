@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperquot import curve_motives
 from hyperquot.curve_motives import (
     InvalidTuple,
     nested_hilb_class,
@@ -110,6 +111,20 @@ def test_rationality():
         assert zeta_rationality_check(g, 2 * g + 10)
     with pytest.raises(ValueError):
         zeta_rationality_check(2, 5)
+
+
+@pytest.mark.parametrize("g", [0, 1, 2, 3])
+@pytest.mark.parametrize("where", ["first", "last"])
+def test_rationality_fails_on_a_perturbed_class(g, where, monkeypatch):
+    # one class off by ONE breaks the vanishing at its own index: 2g + 1 is
+    # the first index checked (for g = 0 its identity reads c[-1] = 0),
+    # 2g + 10 the last
+    order = 2 * g + 10
+    index = 2 * g + 1 if where == "first" else order
+    classes = sym_classes(g, order)
+    classes[index] = classes[index] + ONE
+    monkeypatch.setattr(curve_motives, "sym_classes", lambda genus, n: classes[: n + 1])
+    assert zeta_rationality_check(g, order) is False
 
 
 def test_sym_classes_agree_across_orders():

@@ -26,6 +26,7 @@ from hyperquot.formulas import (
     motivic_partition_function,
 )
 from hyperquot.qseries import MSeries, Window, zero_series
+from hyperquot.smoothness import smoothness_status
 
 L = LEFSCHETZ
 
@@ -122,6 +123,35 @@ def test_twist_shifts_the_series(data):
     for fn in (motivic_partition_function, euler_partition_function):
         plain = fn(curve, bundle, profile, Window(lo, hi))
         assert fn(curve, twist, profile, moved).values == plain.values
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_summand_order_leaves_the_series(data):
+    # the sum of the line bundles does not depend on the order of its
+    # summands: the Euler series, which needs no smoothness, never moves,
+    # and the motivic series does not under a Smooth verdict, where the
+    # formula is the motive; half the draws are genus 0 with degree gap <= 1
+    draw = data.draw
+    rank = draw(st.integers(1, 4))
+    length = draw(st.integers(1, 3))
+    s = tuple(sorted(draw(st.lists(st.integers(0, rank), min_size=length, max_size=length))))
+    profile = NestingProfile(rank, s)
+    if draw(st.booleans()):
+        genus, low = 0, draw(st.integers(-2, 1))
+        degrees = draw(st.lists(st.integers(low, low + 1), min_size=rank, max_size=rank))
+    else:
+        genus = draw(st.integers(0, 3))
+        degrees = draw(st.lists(st.integers(-2, 2), min_size=rank, max_size=rank))
+    curve, bundle = CurveSpec(genus), BundleSpec(degrees)
+    shuffled = BundleSpec(draw(st.permutations(degrees)))
+    lo = default_lower_bounds(bundle, profile)
+    window = Window(lo, tuple(a + draw(st.integers(0, 3)) for a in lo))
+    fns = [euler_partition_function]
+    if smoothness_status(curve, bundle, profile).is_smooth:
+        fns.append(motivic_partition_function)
+    for fn in fns:
+        assert fn(curve, shuffled, profile, window).values == fn(curve, bundle, profile, window).values
 
 
 def test_unnested_matches_general():
