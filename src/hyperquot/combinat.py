@@ -265,19 +265,31 @@ def block_permutations(profile: NestingProfile) -> tuple[BlockPermutation, ...]:
     return tuple(out)
 
 
+def _direction(l: int, i: int, j: int) -> tuple[int, ...]:
+    """Exponent vector of the monomial q_i ... q_j (1-based, inclusive)."""
+    return tuple(1 if i <= k <= j else 0 for k in range(1, l + 1))
+
+
+def _slots(profile: NestingProfile):
+    """The slots (i, j, alpha, m): 1 <= i <= j <= l and alpha in block j, in
+    the loop order (j, alpha, i), with m the direction of q_i ... q_j."""
+    l = profile.length
+    for j in range(1, l + 1):
+        for alpha in profile.block_range(j):
+            for i in range(1, j + 1):
+                yield i, j, alpha, _direction(l, i, j)
+
+
 def stratum_weight_identity(profile: NestingProfile) -> bool:
     """Check, for every block permutation, that the telescoped stratum
     weights sum_{k=i..j} stratum_weight(k, alpha) agree with the closed-form
-    zeta exponents, for all 1 <= i <= j <= l and alpha in block j."""
-    l = profile.length
-    for sigma in block_permutations(profile):
-        for j in range(1, l + 1):
-            for alpha in profile.block_range(j):
-                for i in range(1, j + 1):
-                    lhs = sum(sigma.stratum_weight(k, alpha) for k in range(i, j + 1))
-                    if lhs != sigma.zeta_exponent(i, j, alpha):
-                        return False
-    return True
+    zeta exponents at every slot (i, j, alpha)."""
+    return all(
+        sum(sigma.stratum_weight(k, alpha) for k in range(i, j + 1))
+        == sigma.zeta_exponent(i, j, alpha)
+        for sigma in block_permutations(profile)
+        for i, j, alpha, _ in _slots(profile)
+    )
 
 
 def check_shape(

@@ -20,7 +20,9 @@ Its series is the sum over groups and terms of ``coeff * q**shift`` times
 the product of the factors.  Every factor ``(e, pu, pv, m)`` is
 ``(1 - u**pu v**pv q**m)**e`` with ``e`` = 1 or -1; ``L**a`` is
 ``u**a v**a``, and the zeta function of the curve at ``L**a q**m`` is the
-2g + 2 factors of ``curve_motives.zeta_factors``.  ``_sigma_series``
+2g + 2 factors of ``curve_motives.zeta_factors``.  Every factor tuple is
+one ``_product``: a rule's factors at each slot (i, j, alpha), in slot
+order, so a formula's tuples share one length.  ``_sigma_series``
 evaluates a whole formula, or under ``--parallel`` one branch of it, as a
 Horner-style sum of products over the prefix trie of its factor tuples'
 heads and the suffix trie of their tails, on one frame; no other function
@@ -35,7 +37,7 @@ from __future__ import annotations
 import os
 from collections import Counter
 
-from .combinat import BundleSpec, CurveSpec, NestingProfile, block_permutations, check_shape
+from .combinat import BundleSpec, CurveSpec, NestingProfile, _slots, block_permutations, check_shape
 from .curve_motives import zeta_factors
 from .epoly import ONE, ZERO, EPoly, _axpy, flag_motive, lefschetz_power
 from .qseries import (
@@ -63,19 +65,13 @@ def default_lower_bounds(bundle: BundleSpec, profile: NestingProfile) -> tuple[i
     return tuple(sum(ordered[: profile.s[j - 1]]) for j in range(1, profile.length + 1))
 
 
-def _direction(l: int, i: int, j: int) -> tuple[int, ...]:
-    """Exponent vector of the monomial q_i ... q_j (1-based, inclusive)."""
-    return tuple(1 if i <= k <= j else 0 for k in range(1, l + 1))
-
-
-def _slots(profile: NestingProfile):
-    """(i, j, alpha, m) for 1 <= i <= j <= l and alpha in block j, in the
-    loop order (j, alpha, i), with m the direction of q_i ... q_j."""
-    l = profile.length
-    for j in range(1, l + 1):
-        for alpha in profile.block_range(j):
-            for i in range(1, j + 1):
-                yield i, j, alpha, _direction(l, i, j)
+def _product(profile: NestingProfile, rule) -> tuple[Factor, ...]:
+    """The factors (e, pu, pv, m) of ``rule(i, j, alpha)`` over the slots, in
+    slot order: the rule gives each slot's (e, pu, pv), and m is the slot's
+    direction q_i ... q_j."""
+    return tuple(
+        (e, pu, pv, m) for i, j, alpha, m in _slots(profile) for e, pu, pv in rule(i, j, alpha)
+    )
 
 
 def _prefactor(sigma, degrees: tuple[int, ...]) -> tuple[int, ...]:
@@ -169,14 +165,12 @@ def _pass(acc: MSeries, factor: Factor | None) -> MSeries:
 
 def _cut(tuples: list[tuple[Factor, ...]]) -> int:
     """The depth k at which ``_sigma_series`` cuts a formula's factor
-    tuples: the k with the fewest nodes, one factor pass each, in the
-    prefix trie of the t[:k] plus the suffix trie of the t[k:], a tie
-    going to the larger k.  Tuples of different lengths are not cut, so k
-    is the longest length; nor is one tuple, whose every cut costs its
-    length."""
+    tuples, which share one length n (each is one ``_product``): the k with
+    the fewest nodes, one factor pass each, in the prefix trie of the t[:k]
+    plus the suffix trie of the t[k:], a tie going to the larger k.  So one
+    tuple, whose every cut costs its length, is not cut: k = n.  Any k gives
+    the same series, so tuples of other lengths are still summed exactly."""
     n = len(tuples[0])
-    if len(tuples) == 1 or any(len(t) != n for t in tuples):
-        return max(map(len, tuples))
     pre, suf = _trie_sizes(tuples), _trie_sizes([t[::-1] for t in tuples])
     return min(range(n, -1, -1), key=lambda k: pre[k] + suf[n - k])
 
@@ -250,11 +244,7 @@ def motivic_partition_function(
     g, degrees = curve.genus, bundle.degrees
     groups: dict[tuple[Factor, ...], tuple] = {}
     for sigma in block_permutations(profile):
-        factors = tuple(
-            (e, pu, pv, m)
-            for i, j, alpha, m in _slots(profile)
-            for e, pu, pv in zeta_factors(g, sigma.zeta_exponent(i, j, alpha))
-        )
+        factors = _product(profile, lambda i, j, a: zeta_factors(g, sigma.zeta_exponent(i, j, a)))
         offset = sum(sigma.stratum_offset(j, g, degrees) for j in range(1, profile.length + 1))
         term = (_prefactor(sigma, degrees), lefschetz_power(offset))
         # factors stay in slot order, each zeta's together: sorting them was slower
@@ -271,12 +261,18 @@ def genus0_closed_form(bundle: BundleSpec, profile: NestingProfile, window: Wind
     check_shape(profile, bundle, window)
     if bundle.max_gap:
         raise ValueError(f"the product form needs equal summand degrees, got {bundle.degrees}")
-    factors = []
-    for i, _j, alpha, m in _slots(profile):
-        for a in (profile.corank(i) - alpha, profile.corank(i - 1) - alpha + 1):
-            factors.append((-1, a, a, m))
+    r = profile.corank
+    factors = _product(profile, lambda i, j, a: [(-1, x, x) for x in (r(i) - a, r(i - 1) - a + 1)])
     shift = tuple(bundle.degrees[0] * x for x in profile.s)
-    return _evaluate({tuple(factors): [(shift, flag_motive(profile))]}, window)
+    return _evaluate({factors: [(shift, flag_motive(profile))]}, window)
+
+
+def _integer_product(bundle: BundleSpec, profile: NestingProfile, window: Window, e: int):
+    """The sum over block permutations of the prefactor monomials, times
+    (1 - q_i..q_j)**e per (i, j, alpha): |e| factor passes per slot."""
+    check_shape(profile, bundle, window)
+    factors = _product(profile, lambda *_: [(1 if e > 0 else -1, 0, 0)] * abs(e))
+    return _evaluate({factors: _prefactor_terms(bundle, profile)}, window)
 
 
 def euler_partition_function(
@@ -287,15 +283,9 @@ def euler_partition_function(
 ) -> MSeries:
     """Euler-characteristic series, valid with no smoothness assumption:
     the sum over block permutations of the prefactor monomials, times
-    prod (1 - q_i..q_j)**((2g-2)(r_j - r_{j+1}))."""
-    check_shape(profile, bundle, window)
-    l = profile.length
-    factors = []
-    for j in range(1, l + 1):
-        e = (2 * curve.genus - 2) * (profile.corank(j) - profile.corank(j + 1))
-        for i in range(1, j + 1):
-            factors += [(1 if e > 0 else -1, 0, 0, _direction(l, i, j))] * abs(e)
-    return _evaluate({tuple(factors): _prefactor_terms(bundle, profile)}, window)
+    (1 - q_i..q_j)**(2g - 2) per (i, j, alpha), the Euler value of the
+    curve's zeta function at q_i..q_j."""
+    return _integer_product(bundle, profile, window, 2 * curve.genus - 2)
 
 
 def fixed_component_counts(
@@ -305,7 +295,4 @@ def fixed_component_counts(
     coefficients: the sum over block permutations of the prefactor
     monomials, times 1/(1 - q_i..q_j) per (i, j, alpha).  Each factor counts
     one step of a nondecreasing length tuple."""
-    check_shape(profile, bundle, window)
-    factors = tuple((-1, 0, 0, m) for *_, m in _slots(profile))
-    return _evaluate({factors: _prefactor_terms(bundle, profile)}, window)
-
+    return _integer_product(bundle, profile, window, -1)

@@ -180,10 +180,6 @@ def series_monomial(window: Window, d: tuple[int, ...], c: EPoly | int) -> MSeri
     return MSeries(window, {tuple(d): c})
 
 
-def one_series(window: Window) -> MSeries:
-    return series_monomial(window, (0,) * window.arity, 1)
-
-
 def geometric_inverse(window: Window, c: EPoly | int, m: tuple[int, ...]) -> MSeries:
     """The expansion of 1/(1 - c*q**m): sum of c**k q**(k*m), truncated."""
     m = _validate_direction(window, m)

@@ -22,6 +22,7 @@ from hyperquot.epoly import (
 from hyperquot.formulas import (
     default_lower_bounds,
     euler_partition_function,
+    fixed_component_counts,
     genus0_closed_form,
     motivic_partition_function,
 )
@@ -179,9 +180,9 @@ def test_genus0_closed_form_points_case():
     # two summands, length-d subschemes: 1/((1-q)(1-Lq)^2(1-L^2 q))
     _, bundle, profile, window = free_setup(2, (0,), (4,))
     series = genus0_closed_form(bundle, profile, window)
-    from hyperquot.qseries import geometric_divide, one_series
+    from hyperquot.qseries import geometric_divide, series_monomial
 
-    expect = one_series(window)
+    expect = series_monomial(window, (0,) * window.arity, 1)
     for c in (lefschetz_power(0), lefschetz_power(1), lefschetz_power(1), lefschetz_power(2)):
         expect = geometric_divide(expect, c, (1,))
     assert series == expect
@@ -288,9 +289,9 @@ def test_euler_series_examples():
 
 
 def one_minus_q_power(window, e):
-    from hyperquot.qseries import geometric_divide, multiply_sparse, one_series
+    from hyperquot.qseries import geometric_divide, multiply_sparse, series_monomial
 
-    out = one_series(window)
+    out = series_monomial(window, (0,) * window.arity, 1)
     for _ in range(abs(e)):
         if e > 0:
             out = multiply_sparse(out, [((0,), ONE), ((1,), EPoly.from_int(-1))])
@@ -419,17 +420,25 @@ def test_prefix_sharing_is_exact(formula, lo):
     assert shared == formulas._evaluate(formula, window, parallel=True)
 
 
-def _motivic_formula(monkeypatch, genus, degrees, s, hi):
-    """The formula of a motivic case, as handed to ``_evaluate``, and its window."""
+def _formula(monkeypatch, build):
+    """The formula that ``build()`` hands to ``_evaluate``."""
     seen = []
     monkeypatch.setattr(
         formulas, "_evaluate", lambda f, w, parallel=False: seen.append(f) or zero_series(w)
     )
+    build()
+    monkeypatch.undo()
+    return seen[0]
+
+
+def _motivic_formula(monkeypatch, genus, degrees, s, hi):
+    """The formula of a motivic case, as handed to ``_evaluate``, and its window."""
     bundle, profile = BundleSpec(degrees), NestingProfile(len(degrees), s)
     window = Window(default_lower_bounds(bundle, profile), hi)
-    motivic_partition_function(CurveSpec(genus), bundle, profile, window)
-    monkeypatch.undo()
-    return seen[0], window
+    formula = _formula(
+        monkeypatch, lambda: motivic_partition_function(CurveSpec(genus), bundle, profile, window)
+    )
+    return formula, window
 
 
 def _passes(monkeypatch, run) -> list[Window]:
@@ -505,13 +514,6 @@ def test_cut_tie_goes_to_the_larger_depth(monkeypatch):
     assert _cut_passes(monkeypatch, tuples) == 4
 
 
-def test_tuples_of_different_lengths_are_not_cut(monkeypatch):
-    # x, y is a shared tail, but the prefix trie is walked whole: a, b, x; ax, bx, xy; axy, bxy
-    tuples = [(A, X, Y), (B, X, Y), (X, Y)]
-    assert formulas._cut(tuples) == 3
-    assert _cut_passes(monkeypatch, tuples) == 8
-
-
 def test_deep_shared_suffix_needs_no_recursion():
     n = sys.getrecursionlimit() + 100
     tail = tuple([(-1, 0, 0, (1,)), (1, 1, 0, (1,))] * (n // 2))[: n - 1]
@@ -523,3 +525,56 @@ def test_deep_shared_suffix_needs_no_recursion():
     assert formulas._cut(list(formula)) == 1
     one_by_one = [formulas._evaluate({k: v}, window) for k, v in formula.items()]
     assert formulas._evaluate(formula, window) == sum(one_by_one, zero_series(window))
+
+
+# -- one slot product -----------------------------------------------------------
+
+
+def _slot_count(r, s):
+    """|slots|: j choices of i for each alpha in block j, the interval (r_{j+1}, r_j]."""
+    coranks = (r,) + tuple(r - x for x in s) + (0,)
+    return sum(j * (coranks[j] - coranks[j + 1]) for j in range(1, len(s) + 1))
+
+
+@st.composite
+def small_cases(draw):
+    """(genus, degrees, s): g <= 3, rank <= 4 and 1 to 3 quotient ranks."""
+    r = draw(st.integers(1, 4))
+    s = tuple(sorted(draw(st.lists(st.integers(0, r), min_size=1, max_size=3))))
+    degrees = tuple(draw(st.lists(st.integers(-2, 2), min_size=r, max_size=r)))
+    return draw(st.integers(0, 3)), degrees, s
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_cases())
+def test_every_formula_is_one_slot_product(case):
+    g, degrees, s = case
+    r, l = len(degrees), len(s)
+    curve, bundle, profile = CurveSpec(g), BundleSpec(degrees), NestingProfile(r, s)
+    flat, window = BundleSpec((degrees[0],) * r), Window((0,) * l, (0,) * l)
+    # each builder and the factor count of its rule at one slot
+    builds = [
+        (lambda: motivic_partition_function(curve, bundle, profile, window), 2 * g + 2),
+        (lambda: genus0_closed_form(flat, profile, window), 2),
+        (lambda: euler_partition_function(curve, bundle, profile, window), abs(2 * g - 2)),
+        (lambda: fixed_component_counts(bundle, profile, window), 1),
+    ]
+    for build, count in builds:
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            tuples = list(_formula(monkeypatch, build))
+        n = _slot_count(r, s) * count
+        assert all(len(t) == n for t in tuples)
+        sizes = formulas._trie_sizes(tuples)
+        for d in range(n + 1):
+            assert sizes[d] == sum(len({t[:e] for t in tuples}) for e in range(1, d + 1))
+
+
+@pytest.mark.parametrize("genus", [0, 1, 2, 3])
+def test_integer_products_pass_once_per_slot_factor(monkeypatch, genus):
+    # blocks of sizes 2 and 1: 2 + 2 = 4 slots
+    curve, bundle, profile = CurveSpec(genus), BundleSpec((0, 1, -1, 0)), NestingProfile(4, (1, 3))
+    window = Window(default_lower_bounds(bundle, profile), (3, 3))
+    euler = _passes(monkeypatch, lambda: euler_partition_function(curve, bundle, profile, window))
+    counts = _passes(monkeypatch, lambda: fixed_component_counts(bundle, profile, window))
+    assert len(euler) == abs(2 * genus - 2) * 4
+    assert len(counts) == 4

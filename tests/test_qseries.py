@@ -17,7 +17,6 @@ from hyperquot.qseries import (
     geometric_inverse,
     linear_multiply,
     multiply_sparse,
-    one_series,
     series_from_json,
     series_monomial,
     series_to_json,
@@ -63,7 +62,7 @@ def test_constructor_coerces_coefficients():
         with pytest.raises(TypeError):
             s.coefficient(d)
     # so is an int coefficient of every kernel
-    one, two = one_series(w), series_monomial(w, (1,), 2)
+    one, two = series_monomial(w, (0,), 1), series_monomial(w, (1,), 2)
     assert multiply_sparse(one, [((1,), 2)]) == two
     assert shift_rewindow(one, (1,), 2, w) == two
     assert geometric_divide(one, 2, (1,)).coefficient((2,)) == 4
@@ -88,14 +87,14 @@ def test_mul_examples():
     assert prod.coefficient((1,)) == ZERO
     assert prod.coefficient((2,)) == EPoly.from_int(-1)
     a = geometric_inverse(w, ONE, (1,))
-    assert a * one_series(w) == a
+    assert a * series_monomial(w, (0,), 1) == a
 
 
 def test_telescoping():
     w = Window((0,), (6,))
     geo = geometric_inverse(w, ONE, (1,))
     one_minus = series_monomial(w, (0,), ONE) + series_monomial(w, (1,), EPoly.from_int(-1))
-    assert geo * one_minus == one_series(w)
+    assert geo * one_minus == series_monomial(w, (0,), 1)
 
 
 def test_geometric_inverse_examples():
@@ -123,8 +122,8 @@ def test_coefficient_out_of_window():
 
 
 def test_window_mismatch():
-    a = one_series(Window((0,), (3,)))
-    b = one_series(Window((0,), (4,)))
+    a = series_monomial(Window((0,), (3,)), (0,), 1)
+    b = series_monomial(Window((0,), (4,)), (0,), 1)
     with pytest.raises(WindowMismatch):
         _ = a + b
     with pytest.raises(WindowMismatch):
@@ -132,7 +131,7 @@ def test_window_mismatch():
 
 
 def test_arithmetic_with_a_non_series_is_a_type_error():
-    a = one_series(Window((0,), (3,)))
+    a = series_monomial(Window((0,), (3,)), (0,), 1)
     with pytest.raises(TypeError):
         _ = a + 1
     with pytest.raises(TypeError):
@@ -146,7 +145,8 @@ def test_restrict_coherence_direct_constructors():
     small = Window((0, 0), (2, 1))
     for c, m in [(ONE, (1, 0)), (L, (1, 1)), (ONE + L, (0, 1))]:
         assert MSeries(small, geometric_inverse(big, c, m).coeffs) == geometric_inverse(small, c, m)
-    assert MSeries(small, one_series(big).coeffs) == one_series(small)
+    one = series_monomial(big, (0, 0), 1)
+    assert MSeries(small, one.coeffs) == series_monomial(small, (0, 0), 1)
 
 
 def test_shift_rewindow():
@@ -225,7 +225,7 @@ def test_geometric_inverse_inverts(c, m):
     w = Window((0,), (6,))
     geo = geometric_inverse(w, c, m)
     one_minus = series_monomial(w, (0,) , ONE) + series_monomial(w, m, EPoly.from_int(-1) * c)
-    assert geo * one_minus == one_series(w)
+    assert geo * one_minus == series_monomial(w, (0,), 1)
 
 
 @settings(max_examples=30, deadline=None)
