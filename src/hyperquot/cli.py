@@ -21,7 +21,11 @@ import functools
 import re
 import sys
 from itertools import compress
-from json.encoder import encode_basestring_ascii as _quote
+
+try:  # the C accelerator alone: json.encoder would also load json.decoder and json.scanner
+    from _json import encode_basestring_ascii as _quote
+except ImportError:  # an interpreter without it
+    from json.encoder import encode_basestring_ascii as _quote
 
 from .combinat import (
     BundleSpec,

@@ -49,7 +49,8 @@ class EPoly:
     most values of one computation share it.  A sum is one aligned bigint
     add.  A product is a one-slot carry or one bigint multiply: with a
     one-slot factor (a monomial) it is one ``_axpy`` carry, which moves the
-    offsets and scales the integer, and otherwise one multiply of the two
+    offsets, scales the integer only by a coefficient other than +-1 and
+    takes the sign at the add, and otherwise one multiply of the two
     integers repacked to a common layout.
 
     K and W come from bounds that travel with each value, exact for a value
@@ -332,13 +333,17 @@ def _axpy(out: list[EPoly], src: list[EPoly], c: EPoly, pairs: Iterable[tuple[in
     ``EPoly.__add__`` (c = 1) and of a product with a one-slot factor (one
     pair into ``[ZERO]``).
 
-    A one-slot c = c0 * u**a v**b carries src[i]'s integer times c0 at
-    offsets moved by (a, b - a), with inf times |c0|, repacked wider first only
-    if that bound outgrows the slot; any other c carries ``c * src[i]``.
-    The sum keeps the wider of the two layouts, widened further only if the
-    summed bounds need it, and an operand in another layout is repacked, so
-    a carry whose layout matches out[j]'s is added in place: one aligned
-    bigint add and one new value per cell."""
+    A one-slot c = c0 * u**a v**b carries src[i]'s integer at offsets moved
+    by (a, b - a), scaled by |c0| only when |c0| != 1, with inf times |c0|,
+    repacked wider first only if that bound outgrows the slot; the sign of
+    c0 is taken at the add, as a subtraction, so a carry of c0 = +-1 copies
+    no integer to scale it.  Any other c carries ``c * src[i]``.  The sum
+    keeps the wider of the two layouts, widened further only if the summed
+    bounds need it, and an operand in another layout is repacked.  Each
+    operand is shifted to the sum's offsets only if it is not already at
+    them, so a carry whose offsets and layout match out[j]'s is one aligned
+    bigint add or subtract and one new value per cell, and a carry of
+    c0 = 1 into an empty cell keeps src[i]'s integer."""
     c0, cu, cv = c._n, c._ou, c._ov
     if not c0:
         return
@@ -347,7 +352,7 @@ def _axpy(out: list[EPoly], src: list[EPoly], c: EPoly, pairs: Iterable[tuple[in
             out[j] = out[j] + c * src[i]
         return
     m = abs(c0)
-    scale = m != 1
+    scale, neg = m != 1, c0 < 0
     for i, j in pairs:
         x = src[i]
         bn = x._n
@@ -359,11 +364,12 @@ def _axpy(out: list[EPoly], src: list[EPoly], c: EPoly, pairs: Iterable[tuple[in
             if binf >> (bk - 1):
                 bk = _width(binf)
                 bn = _repack(x, bk, bw)
-        bn, bu, bv = bn * c0, x._ou + cu, x._ov + cv
+            bn *= m
+        bu, bv = x._ou + cu, x._ov + cv
         y = out[j]
         an = y._n
         if not an:
-            out[j] = _new(bn, bu, bv, bk, bw, x._vh, binf)
+            out[j] = _new(-bn if neg else bn, bu, bv, bk, bw, x._vh, binf)
             continue
         ak, aw, au, av, inf = y._k, y._w, y._ou, y._ov, y._inf + binf
         ou = au if au <= bu else bu
@@ -377,8 +383,15 @@ def _axpy(out: list[EPoly], src: list[EPoly], c: EPoly, pairs: Iterable[tuple[in
         if ak != k or aw != w:
             an = _repack(y, k, w)
         if bk != k or bw != w:
-            bn = _repack(x, k, w) * c0
-        s = (an << k * ((au - ou) * w + av - ov)) + (bn << k * ((bu - ou) * w + bv - ov))
+            bn = _repack(x, k, w)
+            if scale:
+                bn *= m
+        sa, sb = k * ((au - ou) * w + av - ov), k * ((bu - ou) * w + bv - ov)
+        if sa:
+            an <<= sa
+        if sb:
+            bn <<= sb
+        s = an - bn if neg else an + bn
         out[j] = _new(s, ou, ov, k, w, vh, inf) if s else ZERO
 
 

@@ -12,6 +12,7 @@ Degree vectors are plain tuples of ints throughout.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Iterable, Iterator, Mapping
@@ -72,9 +73,13 @@ class Window(_Value):
         return i
 
 
-def _shift_pairs(src: Window, dst: Window, delta: tuple[int, ...]) -> list[tuple[int, int]]:
+@functools.lru_cache(maxsize=64)
+def _shift_pairs(src: Window, dst: Window, delta: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     """The (source index, target index) pairs of the cells d of ``src`` with
-    d + delta inside ``dst``, both row-major, ascending."""
+    d + delta inside ``dst``, both row-major, ascending.  Memoized: the
+    factor passes of one series walk share a frame and a few directions, so
+    most calls are hits, and the pairs are a tuple so no caller changes
+    them."""
     pairs = [(0, 0)]
     for s_lo, s_hi, t_lo, t_hi, dk in zip(src.lo, src.hi, dst.lo, dst.hi, delta):
         s_n, t_n = s_hi - s_lo + 1, t_hi - t_lo + 1
@@ -82,7 +87,7 @@ def _shift_pairs(src: Window, dst: Window, delta: tuple[int, ...]) -> list[tuple
         pairs = [
             (i * s_n + x - s_lo, j * t_n + x + dk - t_lo) for i, j in pairs for x in xs
         ]
-    return pairs
+    return tuple(pairs)
 
 
 def _validate_direction(window: Window, m: tuple[int, ...]):

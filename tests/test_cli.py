@@ -405,6 +405,20 @@ def test_import_leaves_the_process_pool_unloaded():
     assert out.strip() == "False"
 
 
+def test_import_leaves_the_json_decoder_unloaded():
+    # the JSON renderer needs only _json's string quoting, not the json package
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = "\n".join([
+        "import sys, hyperquot.cli",
+        "print(sorted({'json.decoder', 'json.scanner'} & set(sys.modules)))",
+    ])
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
+
+
 def test_import_loads_no_heavy_stdlib_module():
     # the value classes need no dataclasses (nor its inspect), traceback
     # loads on the crash path and annotations need no typing; the set

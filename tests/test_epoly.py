@@ -672,3 +672,38 @@ def test_accumulate_matches_plain_multiply_and_add(src, out, c, pairs, in_place,
     for xy, yx, want in sums:
         assert_matches(xy, want)
         assert_matches(yx, want)
+
+
+# -- one-slot carries: no copy to scale by +-1 or to shift by 0 ------------------
+
+
+def test_unit_carry_into_an_empty_cell_keeps_the_integer():
+    x = EPoly({(0, 0): 3, (1, 4): -2, (2, 2): 5})
+    for c in (ONE, EPoly.monomial(2, 3)):
+        out = [ZERO]
+        epoly._axpy(out, [x], c, ((0, 0),))
+        assert out[0]._n is x._n
+        assert_matches(out[0], ref_mul(slot_terms(c), slot_terms(x)))
+
+
+def test_minus_one_carry_onto_itself_is_zero():
+    x = EPoly({(0, 0): 3, (1, 4): -2, (2, 2): 2**40})
+    out = [x]
+    epoly._axpy(out, [x], -ONE, ((0, 0),))
+    assert out[0] is ZERO
+
+
+@pytest.mark.parametrize("c0", [1, -1, 3, -3])
+def test_carry_that_moves_both_operands(c0):
+    # the target starts at the lower u-exponent (0 against 1) and the carried
+    # source at the lower band offset (0 against 2), so both are shifted
+    y = {(0, 2): 5, (1, 4): -7}
+    x = {(0, 0): 3, (1, 2): 2**20, (0, 3): -1}
+    py, px, c = EPoly(y), EPoly(x), EPoly.monomial(1, 1, c0)
+    assert (py._ou, py._ov, px._ou + c._ou, px._ov + c._ov) == (0, 2, 1, 0)
+    out = [py]
+    epoly._axpy(out, [px], c, ((0, 0),))
+    got = out[0]
+    assert_matches(got, ref_add(y, ref_mul({(1, 1): c0}, x)))
+    assert (got._ou, got._ov, got._k, got._w) == (0, 0, 32, 32)
+    assert (got._vh, got._inf) == (3, 7 + 2**20 * abs(c0))

@@ -13,6 +13,7 @@ from hyperquot.qseries import (
     OutOfWindow,
     Window,
     WindowMismatch,
+    _shift_pairs,
     geometric_divide,
     geometric_inverse,
     linear_multiply,
@@ -363,3 +364,20 @@ def test_shift_rewindow_into_disjoint_window_is_zero():
     assert shift_rewindow(s, (-1, 1), ONE, Window((-2, 0), (-1, 0))) == zero_series(
         Window((-2, 0), (-1, 0))
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_shift_pairs_cache_returns_the_built_pairs(data):
+    arity = data.draw(st.integers(1, 3))
+    src = data.draw(windows(arity))
+    # the source window itself, or one whose lo in -8..4 is often disjoint from it
+    dst = data.draw(st.one_of(st.just(src), windows(arity, lo=st.integers(-8, 4))))
+    delta = data.draw(st.tuples(*[st.integers(-3, 3)] * arity))
+    built = tuple(_shift_pairs.__wrapped__(src, dst, delta))
+    _shift_pairs.cache_clear()
+    for hits in (0, 1):  # a miss, then a hit
+        pairs = _shift_pairs(src, dst, delta)
+        assert type(pairs) is tuple and pairs == built
+        assert _shift_pairs.cache_info().hits == hits
+    assert _shift_pairs.cache_info().maxsize is not None
