@@ -22,10 +22,8 @@ import re
 import sys
 from itertools import compress
 
-try:  # the C accelerator alone: json.encoder would also load json.decoder and json.scanner
-    from _json import encode_basestring_ascii as _quote
-except ImportError:  # an interpreter without it
-    from json.encoder import encode_basestring_ascii as _quote
+# CPython's C accelerator alone: json.encoder would also load json.decoder and json.scanner
+from _json import encode_basestring_ascii as _quote
 
 from .combinat import (
     BundleSpec,

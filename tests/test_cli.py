@@ -395,22 +395,12 @@ def test_parallel_json_byte_identical(capsys):
 
 
 def test_import_leaves_the_process_pool_unloaded():
-    # only --parallel with more than one group needs concurrent.futures
-    src = Path(__file__).resolve().parents[1] / "src"
-    probe = "import sys, hyperquot.cli; print('concurrent.futures' in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    ).stdout
-    assert out.strip() == "False"
-
-
-def test_import_leaves_the_json_decoder_unloaded():
-    # the JSON renderer needs only _json's string quoting, not the json package
+    # only --parallel with more than one group needs concurrent.futures, and
+    # the JSON renderer needs only _json's string quoting, not json's decoder
     src = Path(__file__).resolve().parents[1] / "src"
     probe = "\n".join([
         "import sys, hyperquot.cli",
-        "print(sorted({'json.decoder', 'json.scanner'} & set(sys.modules)))",
+        "print(sorted({'concurrent.futures', 'json.decoder', 'json.scanner'} & set(sys.modules)))",
     ])
     env = {**os.environ, "PYTHONPATH": str(src)}
     out = subprocess.run(
