@@ -456,15 +456,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argparse parser, built on first use and then reused."""
+def build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level argparse parser and its subparsers by command word,
+    built on first use and then reused.  No parser takes an abbreviated
+    flag: ``--deg`` is refused like any unknown flag, whatever its value."""
     parser = _Parser(
         prog="hyperquot",
         description="Exact partition functions of hyperquot schemes on curves.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    def command(name: str, summary: str, run) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
         p.add_argument("--genus", type=str, help="genus of the curve")
         p.add_argument("--degrees", type=str, help="comma-separated summand degrees")
         p.add_argument("--s", type=str, help="comma-separated quotient ranks")
@@ -473,17 +477,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--parallel", action="store_true")
         p.add_argument("--assume-smooth", action="store_true", dest="assume_smooth")
-        p.set_defaults(realization="motivic", suite=None)
+        p.set_defaults(realization="motivic", suite=None, run=run)
         return p
 
-    compute = common(sub.add_parser("compute", help="compute a partition function"))
+    compute = command("compute", "compute a partition function", cmd_compute)
     compute.add_argument("--realization", choices=REALIZATIONS, default="motivic")
-    verify = common(sub.add_parser("verify", help="run a cross-check suite"))
+    verify = command("verify", "run a cross-check suite", cmd_verify)
     verify.add_argument("--suite", choices=SUITES, required=True)
-    info = common(sub.add_parser("info", help="dimensions and fixed-locus statistics"))
-    for p, run in ((compute, cmd_compute), (verify, cmd_verify), (info, cmd_info)):
-        p.set_defaults(run=run)
-    return parser
+    command("info", "dimensions and fixed-locus statistics", cmd_info)
+    return parser, sub.choices
 
 
 _VALUE_FLAGS = {"--genus", "--degrees", "--s", "--dmax", "--dmin"}
@@ -505,9 +507,17 @@ def _normalize_argv(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command line and return its exit code.  A command word first
+    picks its subparser, which parses the rest of argv once; anything else
+    (``--help``, an option first, a missing or unknown command) goes to the
+    top-level parser, whose help text or refusal is argparse's own."""
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        config = build_parser().parse_args(_normalize_argv(argv))
+        parser, commands = build_parsers()
+        if argv and argv[0] in commands:
+            config = commands[argv[0]].parse_args(_normalize_argv(argv[1:]))
+        else:
+            config = parser.parse_args(_normalize_argv(argv))
         for name in ("genus", "degrees", "s", "dmax", "dmin"):
             if getattr(config, name) is not None:
                 setattr(config, name, _parse_int_list(getattr(config, name), name == "genus"))

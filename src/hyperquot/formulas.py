@@ -106,7 +106,8 @@ def _sigma_series(formula: Formula, window: Window) -> MSeries:
     Phase 2 visits the suffix trie children first, from an explicit list,
     and folds each node into its parent: its factor applied to its sum.
     The root's sum is the series, moved into the window only if the frame
-    differs from it."""
+    differs from it.  Both phases share one table of factor monomials, so
+    the walk builds each distinct u**pu v**pv once (``_pass``)."""
     hi = window.hi
     live = {}
     for factors, terms in formula.items():
@@ -128,10 +129,11 @@ def _sigma_series(formula: Formula, window: Window) -> MSeries:
             sink = sink.children.setdefault(f, _Node())
         node.terms += [(sink, tuple(x - b for x, b in zip(s, base)), c) for s, c in terms]
 
+    monomials: dict[tuple[int, int], EPoly] = {}
     stack = [(root, None, series_monomial(frame, base, ONE))]
     while stack:
         node, factor, acc = stack.pop()
-        acc = _pass(acc, factor)
+        acc = _pass(acc, factor, monomials)
         for sink, delta, c in node.terms:
             if sink.sum is None:
                 sink.sum = [ZERO] * frame.size
@@ -144,7 +146,7 @@ def _sigma_series(formula: Formula, window: Window) -> MSeries:
         order.append((node, parent, factor))
         stack += [(child, node, f) for f, child in node.children.items()]
     for node, parent, factor in reversed(order[1:]):
-        acc = _pass(_dense(frame, node.sum), factor)
+        acc = _pass(_dense(frame, node.sum), factor, monomials)
         node.sum = None
         if parent.sum is None:
             parent.sum = acc.values
@@ -154,13 +156,20 @@ def _sigma_series(formula: Formula, window: Window) -> MSeries:
     return out if frame is window else shift_rewindow(out, (0,) * len(hi), ONE, window)
 
 
-def _pass(acc: MSeries, factor: Factor | None) -> MSeries:
-    """acc times one factor (1 - u**pu v**pv q**m)**e; acc itself for None."""
+def _pass(
+    acc: MSeries, factor: Factor | None, monomials: dict[tuple[int, int], EPoly]
+) -> MSeries:
+    """acc times one factor (1 - u**pu v**pv q**m)**e; acc itself for None.
+    ``monomials`` is the walk's u**pu v**pv by (pu, pv), each built at its
+    first pass, so a walk builds one monomial per distinct (pu, pv)."""
     if factor is None:
         return acc
     e, pu, pv, m = factor
+    c = monomials.get((pu, pv))
+    if c is None:
+        c = monomials[pu, pv] = EPoly.monomial(pu, pv)
     step = linear_multiply if e > 0 else geometric_divide
-    return step(acc, EPoly.monomial(pu, pv), m)
+    return step(acc, c, m)
 
 
 def _cut(tuples: list[tuple[Factor, ...]]) -> int:
@@ -171,6 +180,8 @@ def _cut(tuples: list[tuple[Factor, ...]]) -> int:
     tuple, whose every cut costs its length, is not cut: k = n.  Any k gives
     the same series, so tuples of other lengths are still summed exactly."""
     n = len(tuples[0])
+    if len(tuples) == 1:
+        return n
     pre, suf = _trie_sizes(tuples), _trie_sizes([t[::-1] for t in tuples])
     return min(range(n, -1, -1), key=lambda k: pre[k] + suf[n - k])
 

@@ -91,10 +91,18 @@ def _shift_pairs(src: Window, dst: Window, delta: tuple[int, ...]) -> tuple[tupl
 
 
 def _validate_direction(window: Window, m: tuple[int, ...]):
-    m = _int_tuple("direction", m)
+    """m as a tuple, checked to be a direction of ``window``: ints, not
+    bools (else TypeError), one per variable, every entry >= 0 and not all
+    zero (else InvalidMonomial).  A tuple is checked in place, with no copy
+    and no generator, since every factor pass checks its direction."""
+    if type(m) is not tuple:
+        m = tuple(m)
+    for x in m:
+        if type(x) is not int:
+            raise TypeError(f"direction: expected ints, got {m!r}")
     if len(m) != window.arity:
         raise InvalidMonomial(f"direction {m} has wrong arity for window")
-    if any(x < 0 for x in m) or not any(m):
+    if min(m) < 0 or not any(m):
         raise InvalidMonomial(f"direction must be >= 0 and nonzero, got {m}")
     return m
 

@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, JSON round-trips, determinism."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -496,16 +497,36 @@ def test_argparse_refusal_is_one_error_line(capsys):
         ["verify", *geometry],
         ["nope"],
         [],
+        # an option before the command word goes to the top-level parser
+        ["--format", "json", "compute", *geometry],
+        # no flag is taken by a prefix, whatever its value
+        ["compute", "--genus", "0", "--s", "1", "--dmax", "2", "--deg", "0,0"],
+        ["compute", "--genus", "0", "--s", "1", "--dmax", "2", "--deg", "-1,0"],
     ):
         code, out, err = run(capsys, *args)
         assert code == 2, args
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1, err
-    for args in (["--help"], ["compute", "--help"]):
+    for args in (["--help"], ["-h"], ["compute", "--help"]):
         with pytest.raises(SystemExit) as exc:
             main(args)
         assert exc.value.code == 0
         assert "usage: hyperquot" in capsys.readouterr().out
+
+
+def test_argv_is_parsed_once(capsys, monkeypatch):
+    # the command word picks its subparser, and only that parser reads argv
+    seen, parse = [], argparse.ArgumentParser.parse_known_args
+    monkeypatch.setattr(
+        argparse.ArgumentParser,
+        "parse_known_args",
+        lambda self, *a, **k: seen.append(self.prog) or parse(self, *a, **k),
+    )
+    geometry = ["--genus", "0", "--degrees", "0,0", "--s", "1", "--dmax", "1"]
+    for command, *flags in (["compute"], ["verify", "--suite", "oracle"], ["info"]):
+        seen.clear()
+        assert run(capsys, command, *flags, *geometry)[0] == 0
+        assert seen == [f"hyperquot {command}"]
 
 
 def test_parser_is_built_once_and_not_at_import():

@@ -480,9 +480,14 @@ def test_groups_share_factor_prefixes(monkeypatch):
 )
 def test_motivic_passes_are_the_cut_trie_nodes(monkeypatch, genus, degrees, s, hi, passes):
     formula, window = _motivic_formula(monkeypatch, genus, degrees, s, hi)
+    built, monomial = [], EPoly.monomial
+    monkeypatch.setattr(EPoly, "monomial", lambda *a: built.append(a) or monomial(*a))
+    # _passes undoes both spies once the walk is done
     windows = _passes(monkeypatch, lambda: formulas._evaluate(formula, window))
     # every pass of one evaluation runs on the formula's frame
     assert len(windows) == passes and len(set(windows)) == 1
+    # and the walk builds each distinct factor monomial u**pu v**pv once
+    assert sorted(built) == sorted({(pu, pv) for t in formula for _, pu, pv, _ in t})
 
 
 # the factors a to d of ALPHABET, and x, y

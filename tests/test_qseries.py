@@ -114,6 +114,20 @@ def test_geometric_inverse_examples():
         geometric_inverse(w2, ONE, (1, -1))
 
 
+def test_direction_rule_of_the_factor_kernels():
+    # a direction is ints, not bools (TypeError, checked first), one per
+    # variable, >= 0 and not all zero (InvalidMonomial); a list is taken as a tuple
+    a = series_monomial(Window((0, 0), (2, 2)), (0, 0), 1)
+    for step in (geometric_divide, linear_multiply):
+        for m in [(True, 0), (1.0, 0), (0, False), (1.0,)]:
+            with pytest.raises(TypeError):
+                step(a, 1, m)
+        for m in [(1,), (1, 0, 0), (-1, 1), (0, 0)]:
+            with pytest.raises(InvalidMonomial):
+                step(a, 1, m)
+        assert step(a, L, [1, 0]) == step(a, L, (1, 0)) != a
+
+
 def test_coefficient_out_of_window():
     w = Window((0,), (3,))
     s = geometric_inverse(w, ONE, (1,))
