@@ -46,11 +46,13 @@ class EPoly:
     not the v-span.  The shear (a, b) -> (a, b - a) is additive, so sums and
     products of packed integers are those of the values.  The layout is
     coarse: K is a multiple of 32 and W a power of two of at least 32, so
-    most values of one computation share it.  A sum is one aligned bigint
-    add.  A product is a one-slot carry or one bigint multiply: with a
-    one-slot factor (a monomial) it is one ``_axpy`` carry, which moves the
-    offsets, scales the integer only by a coefficient other than +-1 and
-    takes the sign at the add, and otherwise one multiply of the two
+    most values of one computation share it.  A sum and a product are each
+    one ``_axpy`` step, the only place two packed integers meet: a sum
+    carries the other value with c = 1, one aligned bigint add, and a
+    product carries the factor with more slots, times the one with fewer,
+    into ``[ZERO]``.  With a one-slot factor (a monomial) that carry moves
+    the offsets, scales the integer only by a coefficient other than +-1
+    and takes the sign at the add; otherwise it is one multiply of the two
     integers repacked to a common layout.
 
     K and W come from bounds that travel with each value, exact for a value
@@ -156,19 +158,11 @@ class EPoly:
         if type(other) is not EPoly:
             other = _coerce(other)
         a, b = self, other
-        if not a._n or not b._n:
-            return ZERO
         if a._n.bit_length() // a._k > b._n.bit_length() // b._k:
             a, b = b, a  # a has the fewer slots, so its terms are the ones decoded
-        if a._n.bit_length() < a._k:  # a one-slot factor: one _axpy carry
-            out = [ZERO]
-            _axpy(out, [b], a, ((0, 0),))
-            return out[0]
-        inf = b._inf * sum(map(abs, a.terms.values()))
-        vh = a._vh + b._vh
-        k, w = _layout(a._k if a._k >= b._k else b._k, a._w if a._w >= b._w else b._w, inf, vh)
-        n = _repack(a, k, w) * _repack(b, k, w)
-        return _new(n, a._ou + b._ou, a._ov + b._ov, k, w, vh, inf)
+        out = [ZERO]
+        _axpy(out, [b], a, ((0, 0),))
+        return out[0]
 
     __rmul__ = __mul__
 
@@ -308,10 +302,10 @@ def _box(x: EPoly) -> tuple[int, int, int, int]:
     return x._ou, top, x._ou + x._ov, top + x._ov + x._vh
 
 
-def _repack(x: EPoly, k: int, w: int) -> int:
-    """x's integer in the layout with slot width k >= x._k and stride
-    w >= x._w, at the same offsets."""
-    n, k1, w1 = x._n, x._k, x._w
+def _repack(n: int, k1: int, w1: int, k: int, w: int) -> int:
+    """The integer n of the layout with slot width k1 and stride w1 in the
+    layout with slot width k >= k1 and stride w >= w1, at the same
+    offsets: a value's integer, a scaled carry or a product alike."""
     if k1 == k and w1 == w:
         return n
     bits = n.bit_length()
@@ -329,63 +323,72 @@ def _repack(x: EPoly, k: int, w: int) -> int:
 
 def _axpy(out: list[EPoly], src: list[EPoly], c: EPoly, pairs: Iterable[tuple[int, int]]):
     """out[j] += c * src[i] over the (source, target) index pairs, in their
-    order: the one multiply-and-accumulate loop of every series kernel, of
-    ``EPoly.__add__`` (c = 1) and of a product with a one-slot factor (one
-    pair into ``[ZERO]``).
+    order: the one multiply-and-accumulate loop of every series kernel, and
+    the only place two packed integers meet.  ``EPoly.__add__`` is one pair
+    with c = 1 and ``EPoly.__mul__`` one pair into ``[ZERO]``; no
+    ``EPoly`` operator is called here.
 
-    A one-slot c = c0 * u**a v**b carries src[i]'s integer at offsets moved
-    by (a, b - a), scaled by |c0| only when |c0| != 1, with inf times |c0|,
+    Each carry c * src[i] is first put in packed form.  A one-slot
+    c = c0 * u**a v**b carries src[i]'s integer at offsets moved by
+    (a, b - a), scaled by |c0| only when |c0| != 1, with inf times |c0|,
     repacked wider first only if that bound outgrows the slot; the sign of
     c0 is taken at the add, as a subtraction, so a carry of c0 = +-1 copies
-    no integer to scale it.  Any other c carries ``c * src[i]``.  The sum
-    keeps the wider of the two layouts, widened further only if the summed
-    bounds need it, and an operand in another layout is repacked.  Each
-    operand is shifted to the sum's offsets only if it is not already at
-    them, so a carry whose offsets and layout match out[j]'s is one aligned
-    bigint add or subtract and one new value per cell, and a carry of
-    c0 = 1 into an empty cell keeps src[i]'s integer."""
+    no integer to scale it.  Any other c carries one multiply of the two
+    integers repacked to a common layout, with ``vh`` the sum of the two
+    and ``inf`` src[i]'s inf times the sum of c's |coefficients|, decoded
+    once per call: the bounds of ``EPoly.__mul__``, which passes the factor
+    with fewer slots as c.  The sum keeps the wider of the two layouts,
+    widened further only if the summed bounds need it, and an operand in
+    another layout is repacked.  Each operand is shifted to the sum's
+    offsets only if it is not already at them, so a carry whose offsets and
+    layout match out[j]'s is one aligned bigint add or subtract and one new
+    value per cell, and a carry of c0 = 1 into an empty cell keeps src[i]'s
+    integer."""
     c0, cu, cv = c._n, c._ou, c._ov
     if not c0:
         return
-    if c0.bit_length() >= c._k:  # several slots: each carry is one product
-        for i, j in pairs:
-            out[j] = out[j] + c * src[i]
-        return
-    m = abs(c0)
-    scale, neg = m != 1, c0 < 0
+    m, neg = abs(c0), c0 < 0  # m multiplies each carry's inf
+    several = c0.bit_length() >= c._k
+    if several:  # each carry is one multiply, bounded by c's decoded terms
+        m, neg = sum(map(abs, c.terms.values())), False
+        ck, cw, cvh = c._k, c._w, c._vh
+    scale = several or m != 1
     for i, j in pairs:
         x = src[i]
         bn = x._n
         if not bn:
             continue
-        bk, bw, binf = x._k, x._w, x._inf
+        bk, bw, bvh, binf = x._k, x._w, x._vh, x._inf
         if scale:
             binf *= m
-            if binf >> (bk - 1):
-                bk = _width(binf)
-                bn = _repack(x, bk, bw)
-            bn *= m
+            if several:
+                bvh += cvh
+                bk, bw = _layout(ck if ck >= bk else bk, cw if cw >= bw else bw, binf, bvh)
+                bn = _repack(bn, x._k, x._w, bk, bw) * _repack(c0, ck, cw, bk, bw)
+            else:
+                if binf >> (bk - 1):
+                    bk = _width(binf)
+                    bn = _repack(bn, x._k, bw, bk, bw)
+                bn *= m
         bu, bv = x._ou + cu, x._ov + cv
         y = out[j]
         an = y._n
         if not an:
-            out[j] = _new(-bn if neg else bn, bu, bv, bk, bw, x._vh, binf)
+            out[j] = _new(-bn if neg else bn, bu, bv, bk, bw, bvh, binf)
             continue
         ak, aw, au, av, inf = y._k, y._w, y._ou, y._ov, y._inf + binf
         ou = au if au <= bu else bu
         ov = av if av <= bv else bv
-        ah, bh = av + y._vh, bv + x._vh
+        ah, bh = av + y._vh, bv + bvh
         vh = (ah if ah >= bh else bh) - ov
         k = ak if ak >= bk else bk
         w = aw if aw >= bw else bw
         if vh >= w or inf >> (k - 1):
             k, w = _layout(k, w, inf, vh)
         if ak != k or aw != w:
-            an = _repack(y, k, w)
+            an = _repack(an, ak, aw, k, w)
         if bk != k or bw != w:
-            bn = _repack(x, k, w)
-            if scale:
-                bn *= m
+            bn = _repack(bn, bk, bw, k, w)
         sa, sb = k * ((au - ou) * w + av - ov), k * ((bu - ou) * w + bv - ov)
         if sa:
             an <<= sa

@@ -103,11 +103,14 @@ def _sigma_series(formula: Formula, window: Window) -> MSeries:
     by shift - base into the sum of its suffix, the root of the suffix trie
     being the empty suffix.
 
-    Phase 2 visits the suffix trie children first, from an explicit list,
-    and folds each node into its parent: its factor applied to its sum.
-    The root's sum is the series, moved into the window only if the frame
-    differs from it.  Both phases share one table of factor monomials, so
-    the walk builds each distinct u**pu v**pv once (``_pass``)."""
+    Each trie node is made once, when its factor is first met, and each
+    suffix node is recorded as (node, parent, factor) as it is made.  Phase
+    2 folds them in reverse order of making: each node's factor applied to
+    its sum goes into its parent's sum, and since a child is made after its
+    parent, it is folded before it.  The root's sum is the series, moved
+    into the window only if the frame differs from it.  Both phases share
+    one table of factor monomials, so the walk builds each distinct
+    u**pu v**pv once (``_pass``)."""
     hi = window.hi
     live = {}
     for factors, terms in formula.items():
@@ -119,14 +122,18 @@ def _sigma_series(formula: Formula, window: Window) -> MSeries:
     base = tuple(map(min, zip(*(s for terms in live.values() for s, _ in terms))))
     frame = window if base == window.lo else Window(base, hi)
     k = _cut(list(live))
-    root, sinks = _Node(), _Node()
+    root, sinks, folds = _Node(), _Node(), []
     for factors, terms in live.items():
         node = root
-        for f in factors[:k]:
-            node = node.children.setdefault(f, _Node())
+        for f in factors[:k]:  # a node is made only for a factor new at its parent
+            node = node.children.get(f) or node.children.setdefault(f, _Node())
         sink = sinks
         for f in reversed(factors[k:]):
-            sink = sink.children.setdefault(f, _Node())
+            child = sink.children.get(f)
+            if child is None:
+                child = sink.children[f] = _Node()
+                folds.append((child, sink, f))
+            sink = child
         node.terms += [(sink, tuple(x - b for x, b in zip(s, base)), c) for s, c in terms]
 
     monomials: dict[tuple[int, int], EPoly] = {}
@@ -140,12 +147,7 @@ def _sigma_series(formula: Formula, window: Window) -> MSeries:
             _axpy(sink.sum, acc.values, c, _shift_pairs(frame, frame, delta))
         stack += [(child, f, acc) for f, child in reversed(node.children.items())]
 
-    order, stack = [], [(sinks, None, None)]
-    while stack:
-        node, parent, factor = stack.pop()
-        order.append((node, parent, factor))
-        stack += [(child, node, f) for f, child in node.children.items()]
-    for node, parent, factor in reversed(order[1:]):
+    for node, parent, factor in reversed(folds):
         acc = _pass(_dense(frame, node.sum), factor, monomials)
         node.sum = None
         if parent.sum is None:

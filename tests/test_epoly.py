@@ -5,6 +5,7 @@ algorithm it replaced."""
 import itertools
 import math
 import pickle
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -605,6 +606,19 @@ def test_constructor_rejects_non_integers():
 
 # -- the fused accumulate loop -------------------------------------------------
 
+OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__neg__")
+
+
+def no_operators():
+    """A context in which every EPoly arithmetic operator raises: _axpy
+    is where two packed values meet, so it calls none of them."""
+
+    def refuse(*args):
+        raise AssertionError("_axpy called an EPoly operator")
+
+    return mock.patch.multiple(EPoly, **dict.fromkeys(OPERATORS, refuse))
+
+
 # coefficients near the 32-bit slot edge and v-exponents whose span crosses
 # the 32-slot stride, so sums and carries widen K or W
 accumulate_terms = st.dictionaries(
@@ -666,7 +680,8 @@ def test_accumulate_matches_plain_multiply_and_add(src, out, c, pairs, in_place,
         expect[j] = ref_add(expect[j], ref_mul(ct, reads[i]))
     # x + y and y + x over the same draws, before _axpy replaces out's values
     sums = [(x + y, y + x, ref_add(slot_terms(x), slot_terms(y))) for x in src for y in out]
-    epoly._axpy(out, src, c, pairs)
+    with no_operators():
+        epoly._axpy(out, src, c, pairs)
     for got, want in zip(out, expect):
         assert_matches(got, want)
     for xy, yx, want in sums:
@@ -707,3 +722,48 @@ def test_carry_that_moves_both_operands(c0):
     assert_matches(got, ref_add(y, ref_mul({(1, 1): c0}, x)))
     assert (got._ou, got._ov, got._k, got._w) == (0, 0, 32, 32)
     assert (got._vh, got._inf) == (3, 7 + 2**20 * abs(c0))
+
+
+# -- products: one _axpy carry into [ZERO] --------------------------------------
+
+PIN_X = {(0, 0): 3, (1, 4): -2, (2, 2): 2**30}
+PIN_Y = {(0, 1): 5, (-1, 0): -7, (1, 3): 1}
+PIN_WIDE = {(0, 0): 2**40, (0, 40): -1, (3, 5): 9}  # 64-bit slots, band 40 wide
+
+
+@pytest.mark.parametrize(
+    "a, b, pinned",
+    [
+        # (k, w, ou, ov, vh, inf): the bounds and layout each product is built with
+        (PIN_X, {(1, 2): 1}, (32, 32, 1, 1, 3, 2**30)),
+        ({(-1, 0): -1}, PIN_X, (32, 32, -1, 1, 3, 2**30)),
+        (PIN_X, {(1, 1): 3}, (64, 32, 1, 0, 3, 3 * 2**30)),
+        ({(2, -1): -3}, PIN_X, (64, 32, 2, -3, 3, 3 * 2**30)),
+        (PIN_X, PIN_Y, (64, 32, -1, 1, 4, 7 * (2**30 + 5))),
+        (PIN_Y, PIN_X, (64, 32, -1, 1, 4, 7 * (2**30 + 5))),
+        (PIN_WIDE, PIN_Y, (64, 64, -1, 1, 41, 13 * 2**40)),
+        (PIN_X, PIN_WIDE, (96, 64, 0, 0, 43, 2**40 * (2**30 + 5))),
+    ],
+)
+def test_product_layouts_are_pinned(a, b, pinned):
+    p = EPoly(a) * EPoly(b)
+    assert (p._k, p._w, p._ou, p._ov, p._vh, p._inf) == pinned
+    assert_matches(p, ref_mul(a, b))
+
+
+@pytest.mark.parametrize(
+    "c",
+    [{(1, 2): 1}, {(1, 1): -1}, {(2, -1): 3}, {(0, 0): -(2**40)}, PIN_Y, PIN_WIDE],
+)
+@pytest.mark.parametrize("target", [{}, {(0, 2): 5, (1, 4): -7}])
+def test_carry_makes_one_value(monkeypatch, c, target):
+    # one-slot and several-slot c into an empty and a nonempty cell: the carry
+    # is put in packed form and added, so the cell gets one new value
+    made, new = [], epoly._new
+    monkeypatch.setattr(epoly, "_new", lambda *a: made.append(a) or new(*a))
+    out = [EPoly(target)]
+    with no_operators():
+        epoly._axpy(out, [EPoly(PIN_X)], EPoly(c), ((0, 0),))
+    assert len(made) == 1
+    monkeypatch.undo()
+    assert_matches(out[0], ref_add(target, ref_mul(c, PIN_X)))

@@ -482,12 +482,16 @@ def test_motivic_passes_are_the_cut_trie_nodes(monkeypatch, genus, degrees, s, h
     formula, window = _motivic_formula(monkeypatch, genus, degrees, s, hi)
     built, monomial = [], EPoly.monomial
     monkeypatch.setattr(EPoly, "monomial", lambda *a: built.append(a) or monomial(*a))
-    # _passes undoes both spies once the walk is done
+    nodes, node = [], formulas._Node
+    monkeypatch.setattr(formulas, "_Node", lambda: nodes.append(1) or node())
+    # _passes undoes the spies once the walk is done
     windows = _passes(monkeypatch, lambda: formulas._evaluate(formula, window))
     # every pass of one evaluation runs on the formula's frame
     assert len(windows) == passes and len(set(windows)) == 1
     # and the walk builds each distinct factor monomial u**pu v**pv once
     assert sorted(built) == sorted({(pu, pv) for t in formula for _, pu, pv, _ in t})
+    # and makes each trie node once: one per pass, and the two roots
+    assert len(nodes) == passes + 2
 
 
 # the factors a to d of ALPHABET, and x, y
