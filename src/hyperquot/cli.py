@@ -40,7 +40,8 @@ from .epoly import (
     EPoly,
     NegativeExponent,
     _box,
-    _rows,
+    _by_slot,
+    _signed_digits,
     chi_y_polynomial,
     euler_number,
     format_epoly,
@@ -182,50 +183,49 @@ def _terms(rows):
 
 class _EPolyTerms:
     """The writer of the term lists of a series' E-polynomials ``polys``.
-    A term list is rendered one row of packed digits (``epoly._rows``) at a
-    time and joined once, so it is one piece.  A row's terms are put
-    together from two tables over the series' exponent box, built at the
-    first write for its indentation: per pu, a term's text up to its pv;
-    per pv, the text from the pv up to the coefficient."""
+    A term list is written from one flat read of the value's packed digits
+    (``epoly._signed_digits``) and joined once, so it is one piece.  The
+    nonzero digits pick their terms' heads, the text up to the coefficient,
+    from a table in slot order (``epoly._by_slot``), cut per layout from one
+    table of heads by (pu, pv - pu) over the series' box, which is built at
+    the first write for its indentation.  A slot outside its row's band has
+    no head, so a digit there makes the join raise."""
 
     def __init__(self, polys: list[EPoly]):
         self.polys, self.pad = polys, None
 
     def _tables(self, pad: str) -> None:
-        lo_u, hi_u, lo_v, hi_v = zip(*map(_box, self.polys))
-        pus, pvs = range(min(lo_u), max(hi_u) + 1), range(min(lo_v), max(hi_v) + 1)
+        lo_u, hi_u, lo_b, hi_b = zip(*map(_box, self.polys))
+        self.lo_u, self.lo_b = min(lo_u), min(lo_b)
+        bands = range(self.lo_b, max(hi_b) + 1)
         cell, inner = pad + "  ", pad + "    "
-        self.pad, self.end, self.lo = pad, f'"\n{cell}}}', (pus.start, pvs.start)
-        heads = [f'{cell}{{\n{inner}"pu": {pu},\n{inner}"pv": ' for pu in pus]
-        self.heads = [(head, f"{self.end},\n{head}") for head in heads]
-        self.tails = [f'{pv},\n{inner}"c": "' for pv in pvs]
+        # each head closes the term before it; the first head's close is cut
+        close = f'"\n{cell}}}'
+        self.pad, self.end, self.cut = pad, f"{close}\n{pad}]", len(close) + 2
+        self.heads, self.slots = [], {}
+        for pu in range(self.lo_u, max(hi_u) + 1):
+            head = f'{close},\n{cell}{{\n{inner}"pu": {pu},\n{inner}"pv": '
+            self.heads.append([f'{head}{pu + b},\n{inner}"c": "' for b in bands])
 
     def write(self, poly: EPoly, pad: str, out: list[str]) -> None:
         if pad != self.pad:
             self._tables(pad)
-        heads, tails, end, (lo_u, lo_v) = self.heads, self.tails, self.end, self.lo
-        pieces = []
-        for pu, pv, row in _rows(poly):
-            cs = list(map(str, filter(None, row)))
-            if cs:
-                head, mid = heads[pu - lo_u]
-                i = pv - lo_v
-                # head, pv, c, then mid, pv, c for every further term, then end
-                text = [mid] * (3 * len(cs) + 1)
-                text[0], text[-1] = head, end
-                text[1::3] = compress(tails[i : i + len(row)], row)
-                text[2::3] = cs
-                pieces += (",\n", "".join(text))
-        pieces[0] = "[\n"  # a nonzero value has a nonzero digit
-        pieces.append(f"\n{pad}]")
-        out.append("".join(pieces))
+        digits = _signed_digits(poly)
+        cs = list(map(str, filter(None, digits)))
+        # head, c for every term, then the end: a nonzero value has a term
+        text = [self.end] * (2 * len(cs) + 1)
+        heads = _by_slot(poly, self.heads, self.lo_u, self.lo_b, self.slots)
+        text[0:-1:2] = compress(heads, digits)
+        text[1::2] = cs
+        text[0] = "[\n" + text[0][self.cut :]
+        out.append("".join(text))
 
 
 def _series(series: MSeries, spec) -> dict:
     """The ``series`` block of a compute report, in the shape of
     ``qseries.series_to_json``.  For ``spec`` None each coefficient is
-    written from its packed rows by one ``_EPolyTerms`` of the series, so no
-    ``terms`` mapping is built and nothing is sorted.  For ``spec`` =
+    written from its packed digits by one ``_EPolyTerms`` of the series, so
+    no ``terms`` mapping is built and nothing is sorted.  For ``spec`` =
     (fn, variable) the block also holds the variable, and a coefficient's
     rows are the sorted (e, c) of its specialization by ``fn``."""
     items = series.items()

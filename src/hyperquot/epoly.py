@@ -44,16 +44,19 @@ class EPoly:
     the diagonal, where the classes built from L = uv and from symmetric
     powers of a curve lie, so the stride follows the width of that band and
     not the v-span.  The shear (a, b) -> (a, b - a) is additive, so sums and
-    products of packed integers are those of the values.  The layout is
-    coarse: K is a multiple of 32 and W a power of two of at least 32, so
-    most values of one computation share it.  A sum and a product are each
-    one ``_axpy`` step, the only place two packed integers meet: a sum
-    carries the other value with c = 1, one aligned bigint add, and a
-    product carries the factor with more slots, times the one with fewer,
-    into ``[ZERO]``.  With a one-slot factor (a monomial) that carry moves
-    the offsets, scales the integer only by a coefficient other than +-1
-    and takes the sign at the add; otherwise it is one multiply of the two
-    integers repacked to a common layout.
+    products of packed integers are those of the values.  K is a multiple
+    of 32.  A value built from its terms gets the coarse stride, a power of
+    two of at least 32; the values of a series walk get the walk's own
+    stride, one above a bound on the band of every value it makes
+    (``formulas._walk_stride``), which need not be a power of two.  Either
+    way most values of one computation share a layout.  A sum and a
+    product are each one ``_axpy`` step, the only place two packed integers
+    meet: a sum carries the other value with c = 1, one aligned bigint add,
+    and a product carries the factor with more slots, times the one with
+    fewer, into ``[ZERO]``.  With a one-slot factor (a monomial) that carry
+    moves the offsets, scales the integer only by a coefficient other than
+    +-1 and takes the sign at the add; otherwise it is one multiply of the
+    two integers repacked to a common layout.
 
     K and W come from bounds that travel with each value, exact for a value
     built from its terms: ``vh`` >= every ``b - a - ov`` and ``inf`` >=
@@ -65,15 +68,16 @@ class EPoly:
     bit length of ``inf`` or W to the next power of two above ``vh`` only
     when a bound needs it; an operand in a narrower layout is repacked.
 
-    Digits are read by one row reader, ``_rows``: it yields each row's
-    u-exponent, its first v-exponent and the signed digits of its first
-    ``vh + 1`` slots, so ``vh`` bounds which digits are read and an
-    under-estimate would lose terms.  The JSON renderers take the rows
-    directly; ``terms``, the read-only mapping (u-exponent, v-exponent) ->
-    coefficient with no zero coefficients, is built over them at most once
-    per value.  Two values are equal when their difference is zero, so they
-    compare and hash equal whatever their layouts, and a constant hashes
-    like its int.  Instances are immutable.
+    Digits are read by one reader, ``_signed_digits``: the signed digit of
+    every slot, from one conversion of the integer.  ``_rows`` slices each
+    row's first ``vh + 1`` of them, so ``vh`` bounds which digits are read
+    and an under-estimate would lose terms; ``terms``, the read-only
+    mapping (u-exponent, v-exponent) -> coefficient with no zero
+    coefficients, is built over the rows at most once per value.  The CLI's
+    series writer reads the flat digits, and a digit outside its row's band
+    makes it raise.  Two values are equal when their difference is zero,
+    so they compare and hash equal whatever their layouts, and a constant
+    hashes like its int.  Instances are immutable.
     """
 
     __slots__ = ("_n", "_ou", "_ov", "_k", "_w", "_vh", "_inf", "_terms")
@@ -212,6 +216,8 @@ def _new(n, ou, ov, k, w, vh, inf) -> EPoly:
 # a sum or product across two layouts first repacks an operand.  In a pass of
 # the five motivic_large benchmark cases under a finer rule (8-bit slot steps,
 # strides from 1) every value fit 32-bit slots and 94% had a stride <= 16.
+# A series walk knows a bound on the band of every value it makes, so it
+# seeds its values at that stride (``_at_stride``) and they keep it.
 
 
 def _width(inf: int) -> int:
@@ -220,7 +226,10 @@ def _width(inf: int) -> int:
 
 
 def _stride(vh: int) -> int:
-    """Smallest power of two above vh, and at least 32."""
+    """The coarse stride for a band vh + 1 wide: the smallest power of two
+    above vh, and at least 32.  A value built from its terms gets it; the
+    values of a series walk keep the walk's own stride (``_at_stride``)
+    until a band outgrows it."""
     return max(32, 1 << vh.bit_length())
 
 
@@ -270,36 +279,69 @@ def _widen(raw, kb1: int, kb: int) -> bytearray:
     return out
 
 
-def _rows(x: EPoly) -> Iterator[tuple[int, int, Sequence[int]]]:
-    """(pu, first pv, signed digits) for every row of x in ascending pu: the
-    digit j of a row is the coefficient of u**pu v**(first pv + j), so the
-    digits run in ascending (pu, pv) order.  Of each row of W slots only the
-    first vh + 1 are read."""
+def _signed_digits(x: EPoly) -> Sequence[int]:
+    """The signed digits of every slot of x, in slot order, from one read of
+    its integer: digit i is the coefficient of u**pu v**pv with
+    pu = ou + i // W and pv - pu = ov + i % W.  A memoryview cast where the
+    slot width has a C type, else a list."""
     n, k = x._n, x._k
     if not n:
-        return
+        return ()
     kb = k >> 3
-    fmt = _CAST.get(kb)
     # a nonzero top slot t makes |n| > 2**(k*t - 1), so t <= bit_length // k
     size = kb * (n.bit_length() // k + 1)
     bias = int.from_bytes((1 << (k - 1)).to_bytes(kb, "little") * (size // kb), "little")
     # each biased slot c + 2**(k - 1) with its top bit flipped is c in two's complement
     raw = memoryview(((n + bias) ^ bias).to_bytes(size, "little"))
-    step, span, ov = x._w * kb, (x._vh + 1) * kb, x._ov
-    for pu, i in enumerate(range(0, size, step), x._ou):
-        row = raw[i : i + span]
-        if fmt:
-            yield pu, pu + ov, row.cast(fmt)
-        else:
-            digits = [row[j : j + kb] for j in range(0, len(row), kb)]
-            yield pu, pu + ov, [int.from_bytes(d, "little", signed=True) for d in digits]
+    fmt = _CAST.get(kb)
+    if fmt:
+        return raw.cast(fmt)
+    return [int.from_bytes(raw[j : j + kb], "little", signed=True) for j in range(0, size, kb)]
+
+
+def _rows(x: EPoly) -> Iterator[tuple[int, int, Sequence[int]]]:
+    """(pu, first pv, signed digits) for every row of x in ascending pu: the
+    digit j of a row is the coefficient of u**pu v**(first pv + j), so the
+    digits run in ascending (pu, pv) order.  Each row is the first vh + 1 of
+    its W slots, sliced from ``_signed_digits``."""
+    digits = _signed_digits(x)
+    w, span, ov = x._w, x._vh + 1, x._ov
+    for pu, i in enumerate(range(0, len(digits), w), x._ou):
+        yield pu, pu + ov, digits[i : i + span]
+
+
+def _by_slot(x: EPoly, table: Sequence[Sequence], lo_u: int, lo_b: int, cache: dict) -> list:
+    """The entries ``table[pu - lo_u][pv - pu - lo_b]`` in the slot order of
+    ``_signed_digits(x)``, from x's row ou to the last row of the table:
+    per row the first vh + 1 slots, then None for the W - vh - 1 slots that
+    lie outside x's band.  Cached in ``cache`` per layout (ou, ov, W, vh),
+    which decides it for one table."""
+    key = (x._ou, x._ov, x._w, x._vh)
+    out = cache.get(key)
+    if out is None:
+        b, span = x._ov - lo_b, x._vh + 1
+        gap, out = [None] * (x._w - span), []
+        for row in table[x._ou - lo_u :]:
+            out += row[b : b + span]
+            out += gap
+        cache[key] = out
+    return out
 
 
 def _box(x: EPoly) -> tuple[int, int, int, int]:
-    """(lowest pu, highest pu, lowest pv, highest pv) of a box that holds
-    every digit ``_rows`` yields for x."""
-    top = x._ou + x._n.bit_length() // x._k // x._w
-    return x._ou, top, x._ou + x._ov, top + x._ov + x._vh
+    """(lowest pu, highest pu, lowest pv - pu, highest pv - pu) of a box
+    that holds every digit of x inside its band."""
+    return x._ou, x._ou + x._n.bit_length() // x._k // x._w, x._ov, x._ov + x._vh
+
+
+def _at_stride(x: EPoly, w: int) -> EPoly:
+    """x in the layout of stride w, at the same offsets, slot width and
+    bounds; x itself if it has stride w or its band is too wide for it
+    (vh >= w).  A one-slot integer is the same in every stride."""
+    if x._w == w or x._vh >= w:
+        return x
+    n = x._n if x._n.bit_length() < x._k else _encode(x.terms, x._ou, x._ov, x._k, w)
+    return _new(n, x._ou, x._ov, x._k, w, x._vh, x._inf)
 
 
 def _repack(n: int, k1: int, w1: int, k: int, w: int) -> int:
@@ -333,11 +375,13 @@ def _axpy(out: list[EPoly], src: list[EPoly], c: EPoly, pairs: Iterable[tuple[in
     (a, b - a), scaled by |c0| only when |c0| != 1, with inf times |c0|,
     repacked wider first only if that bound outgrows the slot; the sign of
     c0 is taken at the add, as a subtraction, so a carry of c0 = +-1 copies
-    no integer to scale it.  Any other c carries one multiply of the two
-    integers repacked to a common layout, with ``vh`` the sum of the two
-    and ``inf`` src[i]'s inf times the sum of c's |coefficients|, decoded
-    once per call: the bounds of ``EPoly.__mul__``, which passes the factor
-    with fewer slots as c.  The sum keeps the wider of the two layouts,
+    no integer to scale it.  Any other c meets src[i] as ``EPoly.__mul__``
+    would multiply the two: a one-slot src[i] carries a copy of c's integer
+    scaled by its coefficient, in c's layout; otherwise the carry is one
+    multiply of the two integers repacked to a common layout, with ``vh``
+    the sum of the two and ``inf`` the inf of the operand with more slots
+    times the sum of the |coefficients| of the one with fewer, decoded at
+    most once per value.  The sum keeps the wider of the two layouts,
     widened further only if the summed bounds need it, and an operand in
     another layout is repacked.  Each operand is shifted to the sum's
     offsets only if it is not already at them, so a carry whose offsets and
@@ -349,27 +393,36 @@ def _axpy(out: list[EPoly], src: list[EPoly], c: EPoly, pairs: Iterable[tuple[in
         return
     m, neg = abs(c0), c0 < 0  # m multiplies each carry's inf
     several = c0.bit_length() >= c._k
-    if several:  # each carry is one multiply, bounded by c's decoded terms
-        m, neg = sum(map(abs, c.terms.values())), False
-        ck, cw, cvh = c._k, c._w, c._vh
-    scale = several or m != 1
+    if several:  # the sign is in each carry's integer
+        ck, cw, cvh, cinf, neg, cl1 = c._k, c._w, c._vh, c._inf, False, 0
+        ctop = c0.bit_length() // ck  # c's top slot
     for i, j in pairs:
         x = src[i]
         bn = x._n
         if not bn:
             continue
         bk, bw, bvh, binf = x._k, x._w, x._vh, x._inf
-        if scale:
-            binf *= m
-            if several:
+        if several:
+            top = bn.bit_length() // bk
+            if not top:  # one slot: the carry is c scaled by it
+                bw, bvh, binf = cw, cvh, cinf * abs(bn)
+                bk = _width(binf) if binf >> (ck - 1) else ck
+                bn *= _repack(c0, ck, cw, bk, cw)
+            else:
+                if top < ctop:  # src[i] has the fewer slots
+                    binf = cinf * sum(map(abs, x.terms.values()))
+                else:
+                    cl1 = cl1 or sum(map(abs, c.terms.values()))
+                    binf *= cl1
                 bvh += cvh
                 bk, bw = _layout(ck if ck >= bk else bk, cw if cw >= bw else bw, binf, bvh)
                 bn = _repack(bn, x._k, x._w, bk, bw) * _repack(c0, ck, cw, bk, bw)
-            else:
-                if binf >> (bk - 1):
-                    bk = _width(binf)
-                    bn = _repack(bn, x._k, bw, bk, bw)
-                bn *= m
+        elif m != 1:
+            binf *= m
+            if binf >> (bk - 1):
+                bk = _width(binf)
+                bn = _repack(bn, x._k, bw, bk, bw)
+            bn *= m
         bu, bv = x._ou + cu, x._ov + cv
         y = out[j]
         an = y._n

@@ -39,7 +39,7 @@ from collections import Counter
 
 from .combinat import BundleSpec, CurveSpec, NestingProfile, _slots, block_permutations, check_shape
 from .curve_motives import zeta_factors
-from .epoly import ONE, ZERO, EPoly, _axpy, flag_motive, lefschetz_power
+from .epoly import ONE, ZERO, EPoly, _at_stride, _axpy, _box, flag_motive, lefschetz_power
 from .qseries import (
     MSeries,
     Window,
@@ -110,7 +110,11 @@ def _sigma_series(formula: Formula, window: Window) -> MSeries:
     parent, it is folded before it.  The root's sum is the series, moved
     into the window only if the frame differs from it.  Both phases share
     one table of factor monomials, so the walk builds each distinct
-    u**pu v**pv once (``_pass``)."""
+    u**pu v**pv once (``_pass``).
+
+    The walk's seed and its terms are put in the stride of ``_walk_stride``,
+    and every value the walk makes keeps it, since ``_axpy`` keeps the wider
+    of two layouts and widens only for a band the stride does not hold."""
     hi = window.hi
     live = {}
     for factors, terms in formula.items():
@@ -121,6 +125,7 @@ def _sigma_series(formula: Formula, window: Window) -> MSeries:
         return zero_series(window)
     base = tuple(map(min, zip(*(s for terms in live.values() for s, _ in terms))))
     frame = window if base == window.lo else Window(base, hi)
+    w = _walk_stride(live)
     k = _cut(list(live))
     root, sinks, folds = _Node(), _Node(), []
     for factors, terms in live.items():
@@ -134,10 +139,13 @@ def _sigma_series(formula: Formula, window: Window) -> MSeries:
                 child = sink.children[f] = _Node()
                 folds.append((child, sink, f))
             sink = child
+        if w is not None:
+            terms = [(s, _at_stride(c, w)) for s, c in terms]
         node.terms += [(sink, tuple(x - b for x, b in zip(s, base)), c) for s, c in terms]
 
     monomials: dict[tuple[int, int], EPoly] = {}
-    stack = [(root, None, series_monomial(frame, base, ONE))]
+    seed = ONE if w is None else _at_stride(ONE, w)
+    stack = [(root, None, series_monomial(frame, base, seed))]
     while stack:
         node, factor, acc = stack.pop()
         acc = _pass(acc, factor, monomials)
@@ -156,6 +164,32 @@ def _sigma_series(formula: Formula, window: Window) -> MSeries:
             _axpy(parent.sum, acc.values, ONE, enumerate(range(frame.size)))
     out = _dense(frame, sinks.sum)
     return out if frame is window else shift_rewindow(out, (0,) * len(hi), ONE, window)
+
+
+def _walk_stride(live: Formula) -> int | None:
+    """One more than the widest band pv - pu that a value of a walk over
+    ``live`` can span, or None when a geometric factor moves the band, since
+    its powers move it without bound.  A linear factor moves a term's band
+    by its pv - pu once or not at all, so the products of a tuple's factors
+    lie in the bands from the sum of its negative moves to the sum of its
+    positive ones, and a term's coefficient moves that range by its own
+    band; the walk's sums lie in the union of these ranges."""
+    lows, highs = [], []
+    for factors, terms in live.items():
+        down = up = 0
+        for e, pu, pv, _ in factors:
+            b = pv - pu
+            if b and e < 0:
+                return None
+            if b < 0:
+                down += b
+            else:
+                up += b
+        for _, c in terms:
+            _, _, c_lo, c_hi = _box(c)
+            lows.append(down + c_lo)
+            highs.append(up + c_hi)
+    return max(highs) - min(lows) + 1
 
 
 def _pass(

@@ -767,3 +767,39 @@ def test_carry_makes_one_value(monkeypatch, c, target):
     assert len(made) == 1
     monkeypatch.undo()
     assert_matches(out[0], ref_add(target, ref_mul(c, PIN_X)))
+
+
+@pytest.mark.parametrize(
+    "x, c",
+    [
+        ({(1, 2): 3}, PIN_Y),  # one-slot src[i]: a scaled copy of c
+        ({(0, 0): -(2**40)}, PIN_Y),  # ... whose inf outgrows c's slot
+        ({(0, 0): 1, (0, 1): -2}, PIN_WIDE),  # src[i] has the fewer slots
+        (PIN_WIDE, PIN_Y),  # c has the fewer slots
+        (PIN_Y, {(0, 1): 1, (-1, 0): 9, (1, 3): -1}),  # as many slots
+    ],
+)
+def test_several_slot_carry_takes_the_product_layout(x, c):
+    # the carry c * x into an empty cell is the product c * x, bounds and
+    # layout included, whichever operand has the fewer slots
+    want = EPoly(c) * EPoly(x)
+    out = [ZERO]
+    with no_operators():
+        epoly._axpy(out, [EPoly(x)], EPoly(c), ((0, 0),))
+    (got,) = out
+    assert (got._k, got._w, got._vh, got._inf) == (want._k, want._w, want._vh, want._inf)
+    assert_matches(got, ref_mul(c, x))
+
+
+@pytest.mark.parametrize("w", [1, 2, 13, 33])
+def test_value_at_another_stride(w):
+    # a value moved into stride w reads the same; one whose band is w or
+    # more slots wide stays as it is
+    for x in ({(0, 0): 3}, {(2, 2): -1, (3, 3): 2**40}, {(0, 1): 5, (-1, 0): -7, (4, 4): 1}):
+        px = EPoly(x)
+        moved = epoly._at_stride(px, w)
+        if px._vh < w:
+            assert (moved._w, moved._k, moved._vh, moved._inf) == (w, px._k, px._vh, px._inf)
+        else:
+            assert moved is px
+        assert_matches(moved, x)

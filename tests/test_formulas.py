@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperquot import formulas
+from hyperquot import epoly, formulas, qseries
 from hyperquot.combinat import BundleSpec, CurveSpec, NestingProfile
 from hyperquot.curve_motives import zeta_eval
 from hyperquot.epoly import (
@@ -492,6 +492,59 @@ def test_motivic_passes_are_the_cut_trie_nodes(monkeypatch, genus, degrees, s, h
     assert sorted(built) == sorted({(pu, pv) for t in formula for _, pu, pv, _ in t})
     # and makes each trie node once: one per pass, and the two roots
     assert len(nodes) == passes + 2
+
+
+def _motivic_series(genus, degrees, s, hi):
+    bundle, profile = BundleSpec(degrees), NestingProfile(len(degrees), s)
+    window = Window(default_lower_bounds(bundle, profile), hi)
+    return motivic_partition_function(CurveSpec(genus), bundle, profile, window)
+
+
+def _genus0_series():
+    bundle, profile = BundleSpec((1, 1, 1)), NestingProfile(3, (1, 2))
+    window = Window(default_lower_bounds(bundle, profile), (5, 6))
+    return genus0_closed_form(bundle, profile, window)
+
+
+def _euler_series():
+    bundle, profile = BundleSpec((0, -1)), NestingProfile(2, (1,))
+    window = Window(default_lower_bounds(bundle, profile), (4,))
+    return euler_partition_function(CurveSpec(2), bundle, profile, window)
+
+
+@pytest.mark.parametrize(
+    "run, stride",
+    [
+        # the motivic_large cases: 2g band moves per slot, so the band bound
+        # is 2g times the slots of a tuple
+        (lambda: _motivic_series(2, (0, 0, 0), (1, 2), (12, 12)), 13),
+        (lambda: _motivic_series(2, (0,) * 5, (1, 3), (6, 6)), 25),
+        (lambda: _motivic_series(4, (0, 1, 2, 3), (2,), (30,)), 17),
+        (lambda: _motivic_series(2, (0,) * 4, (1, 2, 3), (4, 4, 4)), 25),
+        (lambda: _motivic_series(3, (0, -1, 1), (1, 2), (8, 8)), 19),
+        # no factor moves the band, and the flag class is a polynomial in L
+        (_genus0_series, 1),
+        (_euler_series, 1),
+    ],
+)
+def test_every_walk_value_has_the_walk_stride(monkeypatch, run, stride):
+    walk_strides, seen = [], set()
+    walk_stride, axpy = formulas._walk_stride, epoly._axpy
+
+    def spy_stride(live):
+        walk_strides.append(walk_stride(live))
+        return walk_strides[-1]
+
+    def spy_axpy(out, *args):
+        axpy(out, *args)
+        seen.update(x._w for x in out if x)
+
+    monkeypatch.setattr(formulas, "_walk_stride", spy_stride)
+    monkeypatch.setattr(formulas, "_axpy", spy_axpy)
+    monkeypatch.setattr(qseries, "_axpy", spy_axpy)
+    series = run()
+    assert walk_strides == [stride]
+    assert seen == {x._w for x in series.values if x} == {stride}
 
 
 # the factors a to d of ALPHABET, and x, y

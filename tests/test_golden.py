@@ -5,7 +5,8 @@ and the sha256 of its recorded stdout.
 ``perfbench/golden.json`` maps each case (argv joined by single spaces) to
 ``[exit code, stdout sha256]``.  The cases run the way a benchmark pass runs
 them: in one process, in corpus order, with stdout and stderr captured and
-an argparse rejection read as its exit code.
+an argparse rejection read as its exit code.  The corpus also checks that
+a series walk keeps one stride (``formulas._walk_stride``).
 """
 
 import contextlib
@@ -14,7 +15,7 @@ import io
 import json
 from pathlib import Path
 
-from hyperquot import cli
+from hyperquot import cli, epoly, formulas
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
 
@@ -29,7 +30,7 @@ def run_case(argv: list[str]) -> tuple[int, str]:
     return rc, hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
-def test_every_golden_case_is_byte_identical():
+def assert_corpus_is_byte_identical():
     cases = json.loads(GOLDEN.read_text())["cases"]
     assert len(cases) > 600
     wrong = [
@@ -38,3 +39,41 @@ def test_every_golden_case_is_byte_identical():
         if (got := list(run_case(case.split()))) != want
     ]
     assert not wrong, f"{len(wrong)} of {len(cases)} cases differ, first: {wrong[:3]}"
+
+
+def test_every_golden_case_is_byte_identical():
+    assert_corpus_is_byte_identical()
+
+
+def test_golden_digests_hold_under_a_loose_walk_stride(monkeypatch):
+    # a walk stride below the walk's band bound costs repacks, never a
+    # coefficient: the values widen to the coarse stride as their bands grow
+    monkeypatch.setattr(formulas, "_walk_stride", lambda live: 2)
+    assert_corpus_is_byte_identical()
+
+
+def test_no_walk_repacks_a_stride(monkeypatch):
+    # every value of a walk keeps the walk's stride: a repack inside a walk
+    # only widens the slots of a coefficient that outgrows them
+    strides, depth, walks = [], [], []
+    repack, walk = epoly._repack, formulas._sigma_series
+
+    def spy_repack(n, k1, w1, k, w):
+        if depth:
+            strides.append((w1, w))
+        return repack(n, k1, w1, k, w)
+
+    def spy_walk(*args):
+        depth.append(1)
+        walks.append(1)
+        try:
+            return walk(*args)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(epoly, "_repack", spy_repack)
+    monkeypatch.setattr(formulas, "_sigma_series", spy_walk)
+    for case in json.loads(GOLDEN.read_text())["cases"]:
+        run_case(case.split())
+    assert len(walks) > 500 and strides
+    assert [(w1, w) for w1, w in strides if w1 != w] == []

@@ -8,10 +8,11 @@ import contextlib
 import io
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperquot import cli
+from hyperquot import cli, epoly
 from hyperquot.epoly import EPoly, chi_y_polynomial, poincare_polynomial
 from hyperquot.qseries import MSeries, Window, series_from_json, series_to_json
 from hyperquot.smoothness import SmoothnessVerdict
@@ -186,3 +187,38 @@ def test_each_coefficient_is_one_piece(monkeypatch, capsys):
         (out,) = pieces
         assert all(text in out for text in texts)
         assert max(map(len, out)) <= max(map(len, texts))
+
+
+# interior zero digits in a row and a zero row between two rows; Laurent
+# exponents; 64-bit and 96-bit slots (96 bits: the per-slot fallback read)
+LAYOUT_CASES = [
+    {(0, 0): 1, (0, 3): -2, (2, 2): 5, (2, 5): 7},
+    {(-3, -1): 4, (-1, -4): -1, (0, 0): 2, (-2, 1): -3},
+    {(0, 0): 2**40, (1, 1): -3, (1, 3): 1},
+    {(1, 1): 2**70, (1, 2): -(2**70), (3, 3): 1, (4, 7): -1},
+]
+
+
+@pytest.mark.parametrize("stride", [None, 4, 6, 13, 33])
+def test_term_lists_at_any_stride(stride):
+    # each coefficient is one flat read of its digits, whatever its stride:
+    # the walks pack at strides that are not powers of two
+    values = [EPoly(x) for x in LAYOUT_CASES]
+    if stride is not None:
+        values = [epoly._at_stride(x, stride) for x in values]
+        assert {x._w for x in values if x._vh < stride} == {stride}
+    assert {x._k for x in values} == {32, 64, 96}
+    series = MSeries(Window((0,), (3,)), {(d,): x for d, x in enumerate(values)})
+    block, want = cli._series(series, None), series_to_json(series)
+    # written twice at two indentations, so the head tables are rebuilt
+    assert cli._render({"a": block, "b": [block]}) == json.dumps({"a": want, "b": [want]}, indent=2)
+
+
+@pytest.mark.parametrize("n", [5 << 64, 1 + (5 << 64), 1 + (5 << 224)])
+def test_digit_outside_its_band_raises(n):
+    # a hand-built value whose vh under-states its band: rows of 4 slots,
+    # vh = 1, and a digit in slot 2 or 3 of a row; the writer has no head
+    # for it, so it raises rather than print a term it cannot place
+    x = epoly._new(n, 0, 0, 32, 4, 1, 5)
+    with pytest.raises(TypeError):
+        cli._render(cli._series(MSeries(Window((0,), (0,)), {(0,): x}), None))
