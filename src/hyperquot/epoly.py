@@ -47,8 +47,8 @@ class EPoly:
     products of packed integers are those of the values.  K is a multiple
     of 32.  A value built from its terms gets the coarse stride, a power of
     two of at least 32; the values of a series walk get the walk's own
-    stride, one above a bound on the band of every value it makes
-    (``formulas._walk_stride``), which need not be a power of two.  Either
+    stride, one above a bound on the band of every value it makes and at
+    most 32 (``formulas._walk_stride``), which need not be a power of two.  Either
     way most values of one computation share a layout.  A sum and a
     product are each one ``_axpy`` step, the only place two packed integers
     meet: a sum carries the other value with c = 1, one aligned bigint add,

@@ -139,13 +139,12 @@ def _sigma_series(formula: Formula, window: Window) -> MSeries:
                 child = sink.children[f] = _Node()
                 folds.append((child, sink, f))
             sink = child
-        if w is not None:
-            terms = [(s, _at_stride(c, w)) for s, c in terms]
-        node.terms += [(sink, tuple(x - b for x, b in zip(s, base)), c) for s, c in terms]
+        node.terms += [
+            (sink, tuple(x - b for x, b in zip(s, base)), _at_stride(c, w)) for s, c in terms
+        ]
 
     monomials: dict[tuple[int, int], EPoly] = {}
-    seed = ONE if w is None else _at_stride(ONE, w)
-    stack = [(root, None, series_monomial(frame, base, seed))]
+    stack = [(root, None, series_monomial(frame, base, _at_stride(ONE, w)))]
     while stack:
         node, factor, acc = stack.pop()
         acc = _pass(acc, factor, monomials)
@@ -166,21 +165,23 @@ def _sigma_series(formula: Formula, window: Window) -> MSeries:
     return out if frame is window else shift_rewindow(out, (0,) * len(hi), ONE, window)
 
 
-def _walk_stride(live: Formula) -> int | None:
-    """One more than the widest band pv - pu that a value of a walk over
-    ``live`` can span, or None when a geometric factor moves the band, since
-    its powers move it without bound.  A linear factor moves a term's band
-    by its pv - pu once or not at all, so the products of a tuple's factors
-    lie in the bands from the sum of its negative moves to the sum of its
-    positive ones, and a term's coefficient moves that range by its own
-    band; the walk's sums lie in the union of these ranges."""
+def _walk_stride(live: Formula) -> int:
+    """The stride of the values of a walk over ``live``: one more than the
+    widest band pv - pu that they can span, and at most 32, the coarse
+    stride of a band under 32 wide, so no walk packs wider than the coarse
+    rule.  A linear factor moves a term's band by its pv - pu once or not
+    at all, so the products of a tuple's factors lie in the bands from the
+    sum of its negative moves to the sum of its positive ones, and a term's
+    coefficient moves that range by its own band; the walk's sums lie in
+    the union of these ranges.  A geometric factor that moved the band
+    would move it by every power (no formula builder makes one); it is
+    counted once, and as for a band over 32 wide, ``_layout`` widens the
+    values that outgrow the stride."""
     lows, highs = [], []
     for factors, terms in live.items():
         down = up = 0
-        for e, pu, pv, _ in factors:
+        for _, pu, pv, _ in factors:
             b = pv - pu
-            if b and e < 0:
-                return None
             if b < 0:
                 down += b
             else:
@@ -189,7 +190,7 @@ def _walk_stride(live: Formula) -> int | None:
             _, _, c_lo, c_hi = _box(c)
             lows.append(down + c_lo)
             highs.append(up + c_hi)
-    return max(highs) - min(lows) + 1
+    return min(32, max(highs) - min(lows) + 1)
 
 
 def _pass(
