@@ -181,6 +181,14 @@ def _terms(rows):
     return write
 
 
+class _Decimals(dict):
+    """Decimal strings by integer, each converted at its first lookup."""
+
+    def __missing__(self, c: int) -> str:
+        s = self[c] = str(c)
+        return s
+
+
 class _EPolyTerms:
     """The writer of the term lists of a series' E-polynomials ``polys``.
     A term list is written from one flat read of the value's packed digits
@@ -189,10 +197,12 @@ class _EPolyTerms:
     from a table in slot order (``epoly._by_slot``), cut per layout from one
     table of heads by (pu, pv - pu) over the series' box, which is built at
     the first write for its indentation.  A slot outside its row's band has
-    no head, so a digit there makes the join raise."""
+    no head, so a digit there makes the join raise.  Each distinct digit is
+    converted to decimal once per series, through the writer's own
+    ``_Decimals``, which lives as long as the writer."""
 
     def __init__(self, polys: list[EPoly]):
-        self.polys, self.pad = polys, None
+        self.polys, self.pad, self.decimals = polys, None, _Decimals()
 
     def _tables(self, pad: str) -> None:
         lo_u, hi_u, lo_b, hi_b = zip(*map(_box, self.polys))
@@ -210,8 +220,8 @@ class _EPolyTerms:
     def write(self, poly: EPoly, pad: str, out: list[str]) -> None:
         if pad != self.pad:
             self._tables(pad)
-        digits = _signed_digits(poly)
-        cs = list(map(str, filter(None, digits)))
+        digits = _signed_digits(poly._n, poly._k)
+        cs = list(map(self.decimals.__getitem__, filter(None, digits)))
         # head, c for every term, then the end: a nonzero value has a term
         text = [self.end] * (2 * len(cs) + 1)
         heads = _by_slot(poly, self.heads, self.lo_u, self.lo_b, self.slots)

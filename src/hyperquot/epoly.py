@@ -49,21 +49,25 @@ class EPoly:
     two of at least 32; the values of a series walk get the walk's own
     stride, one above a bound on the band of every value it makes and at
     most 32 (``formulas._walk_stride``), which need not be a power of two.  Either
-    way most values of one computation share a layout.  A sum and a
-    product are each one ``_axpy`` step, the only place two packed integers
-    meet: a sum carries the other value with c = 1, one aligned bigint add,
-    and a product carries the factor with more slots, times the one with
-    fewer, into ``[ZERO]``.  With a one-slot factor (a monomial) that carry
-    moves the offsets, scales the integer only by a coefficient other than
-    +-1 and takes the sign at the add; otherwise it is one multiply of the
-    two integers repacked to a common layout.
+    way most values of one computation share a layout.
+
+    The packed fields as a bare tuple (n, ou, ov, k, w, vh, inf) are the
+    value's *cell*, and 0 is the cell of zero (``_cell``, ``_wrap``).  A
+    sum, a difference and a product are each one ``_axpy`` carry on cells,
+    the only place two packed integers meet: a sum carries the other value
+    with c = 1, one aligned bigint add, a difference with c = -1, with no
+    negated copy, and a product carries the factor with more slots, times
+    the one with fewer, into ``[0]``.  With a one-slot factor (a monomial)
+    that carry moves the offsets, scales the integer only by a coefficient
+    other than +-1 and takes the sign at the add; otherwise it is one
+    multiply of the two integers repacked to a common layout.
 
     K and W come from bounds that travel with each value, exact for a value
     built from its terms: ``vh`` >= every ``b - a - ov`` and ``inf`` >=
     every ``|c|``.  A sum has ``inf <= inf_a + inf_b``; a product has
     ``vh <= vh_a + vh_b`` and ``inf`` at most the inf of one operand times
     the sum of the ``|c|`` of the other, the one with fewer slots, whose
-    terms the product decodes for this bound.  A result keeps the wider of
+    digits the product reads for this bound.  A result keeps the wider of
     its operands' K and W, widening K to the next multiple of 32 above the
     bit length of ``inf`` or W to the next power of two above ``vh`` only
     when a bound needs it; an operand in a narrower layout is repacked.
@@ -75,9 +79,9 @@ class EPoly:
     mapping (u-exponent, v-exponent) -> coefficient with no zero
     coefficients, is built over the rows at most once per value.  The CLI's
     series writer reads the flat digits, and a digit outside its row's band
-    makes it raise.  Two values are equal when their difference is zero,
-    so they compare and hash equal whatever their layouts, and a constant
-    hashes like its int.  Instances are immutable.
+    makes it raise.  Two values are equal when their difference, one
+    carry, is the zero cell, so they compare and hash equal whatever their
+    layouts, and a constant hashes like its int.  Instances are immutable.
     """
 
     __slots__ = ("_n", "_ou", "_ov", "_k", "_w", "_vh", "_inf", "_terms")
@@ -130,7 +134,7 @@ class EPoly:
     def __eq__(self, other) -> bool:
         if type(other) is not EPoly and type(other) is not int:
             return NotImplemented
-        return not self - other
+        return not _carry(self, other, _MINUS)
 
     def __hash__(self):
         t = self.terms
@@ -141,11 +145,7 @@ class EPoly:
         return hash(frozenset(t.items()))
 
     def __add__(self, other) -> EPoly:
-        if type(other) is not EPoly:
-            other = _coerce(other)
-        out = [self]
-        _axpy(out, [other], ONE, ((0, 0),))
-        return out[0]
+        return _wrap(_carry(self, other, _PLUS))
 
     __radd__ = __add__
 
@@ -153,7 +153,7 @@ class EPoly:
         return _new(-self._n, self._ou, self._ov, self._k, self._w, self._vh, self._inf)
 
     def __sub__(self, other) -> EPoly:
-        return self + (-_coerce(other))
+        return _wrap(_carry(self, other, _MINUS))
 
     def __rsub__(self, other) -> EPoly:
         return _coerce(other) - self
@@ -163,10 +163,8 @@ class EPoly:
             other = _coerce(other)
         a, b = self, other
         if a._n.bit_length() // a._k > b._n.bit_length() // b._k:
-            a, b = b, a  # a has the fewer slots, so its terms are the ones decoded
-        out = [ZERO]
-        _axpy(out, [b], a, ((0, 0),))
-        return out[0]
+            a, b = b, a  # a has the fewer slots, so its digits are the ones read
+        return _wrap(_carry(ZERO, b, _cell(a)))
 
     __rmul__ = __mul__
 
@@ -205,11 +203,33 @@ _CAST = {4: "i", 8: "q"} if sys.byteorder == "little" else {}
 _alloc = object.__new__
 
 
-def _new(n, ou, ov, k, w, vh, inf) -> EPoly:
+def _cell(x: EPoly):
+    """The cell of x, the form ``_axpy`` reads and writes: the tuple
+    (n, ou, ov, k, w, vh, inf) of its packed fields, or 0 for zero."""
+    n = x._n
+    return (n, x._ou, x._ov, x._k, x._w, x._vh, x._inf) if n else 0
+
+
+def _wrap(cell) -> EPoly:
+    """The value of a cell: the inverse of ``_cell``."""
+    if not cell:
+        return ZERO
     x = _alloc(EPoly)
-    x._n, x._ou, x._ov, x._k, x._w, x._vh, x._inf = n, ou, ov, k, w, vh, inf
+    x._n, x._ou, x._ov, x._k, x._w, x._vh, x._inf = cell
     x._terms = None
     return x
+
+
+def _new(*fields) -> EPoly:
+    """The value of the packed fields (n, ou, ov, k, w, vh, inf)."""
+    return _wrap(fields)
+
+
+def _carry(a: EPoly, b, c):
+    """The cell of a + c * b, one ``_axpy`` carry; b an EPoly or an int."""
+    out = [_cell(a)]
+    _axpy(out, [_cell(b if type(b) is EPoly else _coerce(b))], c, ((0, 0),))
+    return out[0]
 
 
 # The layout is coarse so that the values of one computation share it, since
@@ -279,12 +299,11 @@ def _widen(raw, kb1: int, kb: int) -> bytearray:
     return out
 
 
-def _signed_digits(x: EPoly) -> Sequence[int]:
-    """The signed digits of every slot of x, in slot order, from one read of
-    its integer: digit i is the coefficient of u**pu v**pv with
-    pu = ou + i // W and pv - pu = ov + i % W.  A memoryview cast where the
-    slot width has a C type, else a list."""
-    n, k = x._n, x._k
+def _signed_digits(n: int, k: int) -> Sequence[int]:
+    """The signed digits of every slot of a value's integer n with slot
+    width k, in slot order, from one read of n: digit i is the coefficient
+    of u**pu v**pv with pu = ou + i // W and pv - pu = ov + i % W.  A
+    memoryview cast where the slot width has a C type, else a list."""
     if not n:
         return ()
     kb = k >> 3
@@ -304,7 +323,7 @@ def _rows(x: EPoly) -> Iterator[tuple[int, int, Sequence[int]]]:
     digit j of a row is the coefficient of u**pu v**(first pv + j), so the
     digits run in ascending (pu, pv) order.  Each row is the first vh + 1 of
     its W slots, sliced from ``_signed_digits``."""
-    digits = _signed_digits(x)
+    digits = _signed_digits(x._n, x._k)
     w, span, ov = x._w, x._vh + 1, x._ov
     for pu, i in enumerate(range(0, len(digits), w), x._ou):
         yield pu, pu + ov, digits[i : i + span]
@@ -312,7 +331,7 @@ def _rows(x: EPoly) -> Iterator[tuple[int, int, Sequence[int]]]:
 
 def _by_slot(x: EPoly, table: Sequence[Sequence], lo_u: int, lo_b: int, cache: dict) -> list:
     """The entries ``table[pu - lo_u][pv - pu - lo_b]`` in the slot order of
-    ``_signed_digits(x)``, from x's row ou to the last row of the table:
+    ``_signed_digits`` of x, from x's row ou to the last row of the table:
     per row the first vh + 1 slots, then None for the W - vh - 1 slots that
     lie outside x's band.  Cached in ``cache`` per layout (ou, ov, W, vh),
     which decides it for one table."""
@@ -363,12 +382,18 @@ def _repack(n: int, k1: int, w1: int, k: int, w: int) -> int:
     return int.from_bytes(src, "little") - int.from_bytes(fill * (len(src) // kb), "little")
 
 
-def _axpy(out: list[EPoly], src: list[EPoly], c: EPoly, pairs: Iterable[tuple[int, int]]):
+def _l1(cell) -> int:
+    """The sum of the |coefficients| of a cell's value."""
+    return sum(map(abs, _signed_digits(cell[0], cell[3])))
+
+
+def _axpy(out: list, src: list, c, pairs: Iterable[tuple[int, int]]):
     """out[j] += c * src[i] over the (source, target) index pairs, in their
-    order: the one multiply-and-accumulate loop of every series kernel, and
-    the only place two packed integers meet.  ``EPoly.__add__`` is one pair
-    with c = 1 and ``EPoly.__mul__`` one pair into ``[ZERO]``; no
-    ``EPoly`` operator is called here.
+    order, on cells (``_cell``): the one multiply-and-accumulate loop of
+    every series kernel and every ``EPoly`` sum, difference, comparison and
+    product, and the only place two packed integers meet.  It reads and
+    writes bare cells, so a carry builds no ``EPoly``; the kernels and
+    operators unwrap their operands and wrap the cells it leaves.
 
     Each carry c * src[i] is first put in packed form.  A one-slot
     c = c0 * u**a v**b carries src[i]'s integer at offsets moved by
@@ -380,28 +405,28 @@ def _axpy(out: list[EPoly], src: list[EPoly], c: EPoly, pairs: Iterable[tuple[in
     scaled by its coefficient, in c's layout; otherwise the carry is one
     multiply of the two integers repacked to a common layout, with ``vh``
     the sum of the two and ``inf`` the inf of the operand with more slots
-    times the sum of the |coefficients| of the one with fewer, decoded at
-    most once per value.  The sum keeps the wider of the two layouts,
-    widened further only if the summed bounds need it, and an operand in
-    another layout is repacked.  Each operand is shifted to the sum's
-    offsets only if it is not already at them, so a carry whose offsets and
-    layout match out[j]'s is one aligned bigint add or subtract and one new
-    value per cell, and a carry of c0 = 1 into an empty cell keeps src[i]'s
-    integer."""
-    c0, cu, cv = c._n, c._ou, c._ov
-    if not c0:
+    times the sum of the |coefficients| of the one with fewer, read from
+    its digits (c's at most once per call).  The sum keeps the wider of the
+    two layouts, widened further only if the summed bounds need it, and an
+    operand in another layout is repacked.  Each operand is shifted to the
+    sum's offsets only if it is not already at them, so a carry whose
+    offsets and layout match out[j]'s is one aligned bigint add or
+    subtract and one new cell, and a carry of c0 = 1 into an empty cell
+    keeps src[i]'s integer."""
+    if not c:
         return
+    c0, cu, cv, ck, cw, cvh, cinf = c
     m, neg = abs(c0), c0 < 0  # m multiplies each carry's inf
-    several = c0.bit_length() >= c._k
+    several = c0.bit_length() >= ck
     if several:  # the sign is in each carry's integer
-        ck, cw, cvh, cinf, neg, cl1 = c._k, c._w, c._vh, c._inf, False, 0
+        neg, cl1 = False, 0
         ctop = c0.bit_length() // ck  # c's top slot
     for i, j in pairs:
         x = src[i]
-        bn = x._n
-        if not bn:
+        if not x:
             continue
-        bk, bw, bvh, binf = x._k, x._w, x._vh, x._inf
+        bn, bu, bv, xk, xw, bvh, binf = x
+        bk, bw = xk, xw
         if several:
             top = bn.bit_length() // bk
             if not top:  # one slot: the carry is c scaled by it
@@ -410,29 +435,30 @@ def _axpy(out: list[EPoly], src: list[EPoly], c: EPoly, pairs: Iterable[tuple[in
                 bn *= _repack(c0, ck, cw, bk, cw)
             else:
                 if top < ctop:  # src[i] has the fewer slots
-                    binf = cinf * sum(map(abs, x.terms.values()))
+                    binf = cinf * _l1(x)
                 else:
-                    cl1 = cl1 or sum(map(abs, c.terms.values()))
+                    cl1 = cl1 or _l1(c)
                     binf *= cl1
                 bvh += cvh
                 bk, bw = _layout(ck if ck >= bk else bk, cw if cw >= bw else bw, binf, bvh)
-                bn = _repack(bn, x._k, x._w, bk, bw) * _repack(c0, ck, cw, bk, bw)
+                bn = _repack(bn, xk, xw, bk, bw) * _repack(c0, ck, cw, bk, bw)
         elif m != 1:
             binf *= m
             if binf >> (bk - 1):
                 bk = _width(binf)
-                bn = _repack(bn, x._k, bw, bk, bw)
+                bn = _repack(bn, xk, bw, bk, bw)
             bn *= m
-        bu, bv = x._ou + cu, x._ov + cv
+        bu += cu
+        bv += cv
         y = out[j]
-        an = y._n
-        if not an:
-            out[j] = _new(-bn if neg else bn, bu, bv, bk, bw, bvh, binf)
+        if not y:
+            out[j] = (-bn if neg else bn, bu, bv, bk, bw, bvh, binf)
             continue
-        ak, aw, au, av, inf = y._k, y._w, y._ou, y._ov, y._inf + binf
+        an, au, av, ak, aw, avh, inf = y
+        inf += binf
         ou = au if au <= bu else bu
         ov = av if av <= bv else bv
-        ah, bh = av + y._vh, bv + bvh
+        ah, bh = av + avh, bv + bvh
         vh = (ah if ah >= bh else bh) - ov
         k = ak if ak >= bk else bk
         w = aw if aw >= bw else bw
@@ -448,12 +474,13 @@ def _axpy(out: list[EPoly], src: list[EPoly], c: EPoly, pairs: Iterable[tuple[in
         if sb:
             bn <<= sb
         s = an - bn if neg else an + bn
-        out[j] = _new(s, ou, ov, k, w, vh, inf) if s else ZERO
+        out[j] = (s, ou, ov, k, w, vh, inf) if s else 0
 
 
 ZERO = EPoly()
 ONE = EPoly.from_int(1)
 LEFSCHETZ = EPoly.monomial(1, 1)
+_PLUS, _MINUS = _cell(ONE), _cell(-ONE)  # the carries of a sum and a difference
 
 
 def lefschetz_power(k: int) -> EPoly:

@@ -39,18 +39,8 @@ from collections import Counter
 
 from .combinat import BundleSpec, CurveSpec, NestingProfile, _slots, block_permutations, check_shape
 from .curve_motives import zeta_factors
-from .epoly import ONE, ZERO, EPoly, _at_stride, _axpy, _box, flag_motive, lefschetz_power
-from .qseries import (
-    MSeries,
-    Window,
-    _dense,
-    _shift_pairs,
-    geometric_divide,
-    linear_multiply,
-    series_monomial,
-    shift_rewindow,
-    zero_series,
-)
+from .epoly import _PLUS, ONE, EPoly, _at_stride, _axpy, _box, _cell, flag_motive, lefschetz_power
+from .qseries import MSeries, Window, _dense, _shift_pairs, zero_series
 
 Factor = tuple[int, int, int, tuple[int, ...]]
 Formula = dict[tuple[Factor, ...], list[tuple[tuple[int, ...], EPoly]]]
@@ -114,7 +104,13 @@ def _sigma_series(formula: Formula, window: Window) -> MSeries:
 
     The walk's seed and its terms are put in the stride of ``_walk_stride``,
     and every value the walk makes keeps it, since ``_axpy`` keeps the wider
-    of two layouts and widens only for a band the stride does not hold."""
+    of two layouts and widens only for a band the stride does not hold.
+
+    From its seed to its final frame the walk keeps lists of cells
+    (``epoly._cell``), which ``_axpy`` reads and writes, so a carry builds
+    no ``EPoly``: the values it makes are its seed, its terms, one
+    monomial per distinct factor monomial and the cells of the result,
+    each wrapped once."""
     hi = window.hi
     live = {}
     for factors, terms in formula.items():
@@ -140,29 +136,35 @@ def _sigma_series(formula: Formula, window: Window) -> MSeries:
                 folds.append((child, sink, f))
             sink = child
         node.terms += [
-            (sink, tuple(x - b for x, b in zip(s, base)), _at_stride(c, w)) for s, c in terms
+            (sink, tuple(x - b for x, b in zip(s, base)), _cell(_at_stride(c, w)))
+            for s, c in terms
         ]
 
-    monomials: dict[tuple[int, int], EPoly] = {}
-    stack = [(root, None, series_monomial(frame, base, _at_stride(ONE, w)))]
+    monomials: dict[tuple[int, int], tuple] = {}
+    seed = [0] * frame.size
+    seed[0] = _cell(_at_stride(ONE, w))  # q**base, the frame's first cell
+    stack = [(root, None, seed)]
     while stack:
         node, factor, acc = stack.pop()
-        acc = _pass(acc, factor, monomials)
+        acc = _pass(acc, factor, frame, monomials)
         for sink, delta, c in node.terms:
             if sink.sum is None:
-                sink.sum = [ZERO] * frame.size
-            _axpy(sink.sum, acc.values, c, _shift_pairs(frame, frame, delta))
+                sink.sum = [0] * frame.size
+            _axpy(sink.sum, acc, c, _shift_pairs(frame, frame, delta))
         stack += [(child, f, acc) for f, child in reversed(node.children.items())]
 
     for node, parent, factor in reversed(folds):
-        acc = _pass(_dense(frame, node.sum), factor, monomials)
+        acc = _pass(node.sum, factor, frame, monomials)
         node.sum = None
         if parent.sum is None:
-            parent.sum = acc.values
+            parent.sum = acc
         else:
-            _axpy(parent.sum, acc.values, ONE, enumerate(range(frame.size)))
-    out = _dense(frame, sinks.sum)
-    return out if frame is window else shift_rewindow(out, (0,) * len(hi), ONE, window)
+            _axpy(parent.sum, acc, _PLUS, enumerate(range(frame.size)))
+    out = sinks.sum
+    if frame is not window:  # the frame's cells moved into the window
+        out = [0] * window.size
+        _axpy(out, sinks.sum, _PLUS, _shift_pairs(frame, window, (0,) * len(hi)))
+    return _dense(window, out)
 
 
 def _walk_stride(live: Formula) -> int:
@@ -193,20 +195,26 @@ def _walk_stride(live: Formula) -> int:
     return min(32, max(highs) - min(lows) + 1)
 
 
-def _pass(
-    acc: MSeries, factor: Factor | None, monomials: dict[tuple[int, int], EPoly]
-) -> MSeries:
-    """acc times one factor (1 - u**pu v**pv q**m)**e; acc itself for None.
-    ``monomials`` is the walk's u**pu v**pv by (pu, pv), each built at its
-    first pass, so a walk builds one monomial per distinct (pu, pv)."""
+def _pass(acc: list, factor: Factor | None, frame: Window, monomials: dict) -> list:
+    """The cells of acc, a series on ``frame``, times one factor
+    (1 - u**pu v**pv q**m)**e, as a new list; acc itself for None.  A
+    geometric factor (e = -1) is the recurrence out[d] += c out[d - m] over
+    ascending cells, a linear one out[d] -= c out[d - m] over descending
+    ones, so each reads a[d - m] before it changes: one ``_axpy`` either
+    way.  ``monomials`` holds the walk's cells of +-u**pu v**pv by (pu, pv),
+    each built at its first pass, so a walk builds one monomial per
+    distinct (pu, pv)."""
     if factor is None:
         return acc
     e, pu, pv, m = factor
-    c = monomials.get((pu, pv))
-    if c is None:
-        c = monomials[pu, pv] = EPoly.monomial(pu, pv)
-    step = linear_multiply if e > 0 else geometric_divide
-    return step(acc, c, m)
+    cs = monomials.get((pu, pv))
+    if cs is None:
+        c = _cell(EPoly.monomial(pu, pv))
+        cs = monomials[pu, pv] = (c, (-c[0],) + c[1:])
+    pairs = _shift_pairs(frame, frame, m)
+    out = list(acc)
+    _axpy(out, out, cs[e > 0], reversed(pairs) if e > 0 else pairs)
+    return out
 
 
 def _cut(tuples: list[tuple[Factor, ...]]) -> int:

@@ -18,7 +18,7 @@ import math
 from collections.abc import Iterable, Iterator, Mapping
 
 from .combinat import _int_tuple, _Value
-from .epoly import ONE, ZERO, EPoly, _axpy, _coerce, epoly_from_json, epoly_to_json
+from .epoly import _PLUS, ZERO, EPoly, _axpy, _cell, _coerce, _wrap, epoly_from_json, epoly_to_json
 
 
 class WindowMismatch(ValueError):
@@ -94,7 +94,7 @@ def _validate_direction(window: Window, m: tuple[int, ...]):
     """m as a tuple, checked to be a direction of ``window``: ints, not
     bools (else TypeError), one per variable, every entry >= 0 and not all
     zero (else InvalidMonomial).  A tuple is checked in place, with no copy
-    and no generator, since every factor pass checks its direction."""
+    and no generator, since every kernel call checks its direction."""
     if type(m) is not tuple:
         m = tuple(m)
     for x in m:
@@ -161,8 +161,8 @@ class MSeries:
         if not isinstance(other, MSeries):
             return NotImplemented
         self._check_same_window(other)
-        out = list(self.values)
-        _axpy(out, other.values, ONE, enumerate(range(len(out))))
+        out = list(map(_cell, self.values))
+        _axpy(out, list(map(_cell, other.values)), _PLUS, enumerate(range(len(out))))
         return _dense(self.window, out)
 
     def __mul__(self, other: MSeries) -> MSeries:
@@ -176,11 +176,12 @@ class MSeries:
         return f"MSeries(window={self.window.lo}..{self.window.hi}, {n} terms)"
 
 
-def _dense(window: Window, values: list[EPoly]) -> MSeries:
-    """Wrap a row-major value list of ``window`` without re-checking it."""
+def _dense(window: Window, cells: list) -> MSeries:
+    """The series of a row-major cell list of ``window`` (``epoly._cell``),
+    each cell wrapped once and nothing re-checked."""
     res = MSeries.__new__(MSeries)
     res.window = window
-    res.values = values
+    res.values = list(map(_wrap, cells))
     return res
 
 
@@ -213,11 +214,10 @@ def geometric_divide(a: MSeries, c: EPoly | int, m: tuple[int, ...]) -> MSeries:
     out[d] = a[d] + c * out[d - m].  Agrees with multiplication by
     ``geometric_inverse`` but costs one pass over the window."""
     m = _validate_direction(a.window, m)
-    c = _coerce(c)
-    out = list(a.values)
+    out = list(map(_cell, a.values))
     # m >= 0 and m != 0, so every source index is below its target and is
     # final by the time the ascending pairs reach it.
-    _axpy(out, out, c, _shift_pairs(a.window, a.window, m))
+    _axpy(out, out, _cell(_coerce(c)), _shift_pairs(a.window, a.window, m))
     return _dense(a.window, out)
 
 
@@ -225,27 +225,26 @@ def linear_multiply(a: MSeries, c: EPoly | int, m: tuple[int, ...]) -> MSeries:
     """a * (1 - c*q**m) truncated to a's window: out[d] = a[d] - c * a[d - m]
     in one descending pass, so each a[d - m] is read before it changes."""
     m = _validate_direction(a.window, m)
-    c = _coerce(c)
-    out = list(a.values)
-    _axpy(out, out, -c, reversed(_shift_pairs(a.window, a.window, m)))
+    out = list(map(_cell, a.values))
+    _axpy(out, out, _cell(-_coerce(c)), reversed(_shift_pairs(a.window, a.window, m)))
     return _dense(a.window, out)
 
 
 def multiply_sparse(a: MSeries, terms: Iterable[tuple[tuple[int, ...], EPoly]]) -> MSeries:
     """Multiply by a sparse polynomial given as (degree shift, coefficient)
     pairs, truncating to a's window."""
-    out = [ZERO] * len(a.values)
+    src, out = list(map(_cell, a.values)), [0] * len(a.values)
     for delta, coeff in terms:
         if coeff:
-            _axpy(out, a.values, _coerce(coeff), _shift_pairs(a.window, a.window, delta))
+            _axpy(out, src, _cell(_coerce(coeff)), _shift_pairs(a.window, a.window, delta))
     return _dense(a.window, out)
 
 
 def shift_rewindow(a: MSeries, delta: tuple[int, ...], c: EPoly | int, window: Window) -> MSeries:
     """c * q**delta * a, re-truncated into a new window.  The caller is
     responsible for a being a full expansion of window - delta."""
-    out = [ZERO] * window.size
-    _axpy(out, a.values, _coerce(c), _shift_pairs(a.window, window, delta))
+    out = [0] * window.size
+    _axpy(out, list(map(_cell, a.values)), _cell(_coerce(c)), _shift_pairs(a.window, window, delta))
     return _dense(window, out)
 
 

@@ -609,14 +609,25 @@ def test_constructor_rejects_non_integers():
 OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__neg__")
 
 
-def no_operators():
-    """A context in which every EPoly arithmetic operator raises: _axpy
-    is where two packed values meet, so it calls none of them."""
+def no_operators(*keep):
+    """A context in which every EPoly arithmetic operator but ``keep``
+    raises: _axpy is where two packed values meet, so it calls none of them."""
 
     def refuse(*args):
         raise AssertionError("_axpy called an EPoly operator")
 
-    return mock.patch.multiple(EPoly, **dict.fromkeys(OPERATORS, refuse))
+    refused = [name for name in OPERATORS if name not in keep]
+    return mock.patch.multiple(EPoly, **dict.fromkeys(refused, refuse))
+
+
+def cell_axpy(out, src, c, pairs):
+    """epoly._axpy on the cells of the values of out and src (src may be
+    out), under no_operators; out's cells are wrapped back into out."""
+    cells = list(map(epoly._cell, out))
+    src_cells = cells if src is out else list(map(epoly._cell, src))
+    with no_operators():
+        epoly._axpy(cells, src_cells, epoly._cell(c), pairs)
+    out[:] = map(epoly._wrap, cells)
 
 
 # coefficients near the 32-bit slot edge and v-exponents whose span crosses
@@ -680,8 +691,7 @@ def test_accumulate_matches_plain_multiply_and_add(src, out, c, pairs, in_place,
         expect[j] = ref_add(expect[j], ref_mul(ct, reads[i]))
     # x + y and y + x over the same draws, before _axpy replaces out's values
     sums = [(x + y, y + x, ref_add(slot_terms(x), slot_terms(y))) for x in src for y in out]
-    with no_operators():
-        epoly._axpy(out, src, c, pairs)
+    cell_axpy(out, src, c, pairs)
     for got, want in zip(out, expect):
         assert_matches(got, want)
     for xy, yx, want in sums:
@@ -695,17 +705,17 @@ def test_accumulate_matches_plain_multiply_and_add(src, out, c, pairs, in_place,
 def test_unit_carry_into_an_empty_cell_keeps_the_integer():
     x = EPoly({(0, 0): 3, (1, 4): -2, (2, 2): 5})
     for c in (ONE, EPoly.monomial(2, 3)):
-        out = [ZERO]
-        epoly._axpy(out, [x], c, ((0, 0),))
-        assert out[0]._n is x._n
-        assert_matches(out[0], ref_mul(slot_terms(c), slot_terms(x)))
+        out = [0]
+        epoly._axpy(out, [epoly._cell(x)], epoly._cell(c), ((0, 0),))
+        assert out[0][0] is x._n
+        assert_matches(epoly._wrap(out[0]), ref_mul(slot_terms(c), slot_terms(x)))
 
 
 def test_minus_one_carry_onto_itself_is_zero():
     x = EPoly({(0, 0): 3, (1, 4): -2, (2, 2): 2**40})
-    out = [x]
-    epoly._axpy(out, [x], -ONE, ((0, 0),))
-    assert out[0] is ZERO
+    out = [epoly._cell(x)]
+    epoly._axpy(out, out, epoly._cell(-ONE), ((0, 0),))
+    assert out == [0]
 
 
 @pytest.mark.parametrize("c0", [1, -1, 3, -3])
@@ -717,7 +727,7 @@ def test_carry_that_moves_both_operands(c0):
     py, px, c = EPoly(y), EPoly(x), EPoly.monomial(1, 1, c0)
     assert (py._ou, py._ov, px._ou + c._ou, px._ov + c._ov) == (0, 2, 1, 0)
     out = [py]
-    epoly._axpy(out, [px], c, ((0, 0),))
+    cell_axpy(out, [px], c, ((0, 0),))
     got = out[0]
     assert_matches(got, ref_add(y, ref_mul({(1, 1): c0}, x)))
     assert (got._ou, got._ov, got._k, got._w) == (0, 0, 32, 32)
@@ -758,15 +768,31 @@ def test_product_layouts_are_pinned(a, b, pinned):
 @pytest.mark.parametrize("target", [{}, {(0, 2): 5, (1, 4): -7}])
 def test_carry_makes_one_value(monkeypatch, c, target):
     # one-slot and several-slot c into an empty and a nonempty cell: the carry
-    # is put in packed form and added, so the cell gets one new value
-    made, new = [], epoly._new
-    monkeypatch.setattr(epoly, "_new", lambda *a: made.append(a) or new(*a))
-    out = [EPoly(target)]
+    # is put in packed form and added as a bare cell, so no value is made
+    # until the cell is wrapped, and then one
+    out, src, cc = [epoly._cell(EPoly(target))], [epoly._cell(EPoly(PIN_X))], epoly._cell(EPoly(c))
+    made, wrap = [], epoly._wrap
+    monkeypatch.setattr(epoly, "_wrap", lambda cell: made.append(cell) or wrap(cell))
     with no_operators():
-        epoly._axpy(out, [EPoly(PIN_X)], EPoly(c), ((0, 0),))
+        epoly._axpy(out, src, cc, ((0, 0),))
+    assert made == []
+    got = epoly._wrap(out[0])
     assert len(made) == 1
     monkeypatch.undo()
-    assert_matches(out[0], ref_add(target, ref_mul(c, PIN_X)))
+    assert_matches(got, ref_add(target, ref_mul(c, PIN_X)))
+
+
+def test_equality_and_difference_are_one_carry():
+    # == and - are each one _axpy carry with c = -1, with no negated copy of
+    # the other operand: == calls no operator, and - no other one
+    a, b = EPoly(PIN_X), EPoly(PIN_Y)
+    with no_operators():
+        assert a == EPoly(PIN_X) and a != b and not a == b
+        assert ZERO == 0 and ONE == 1 and not ONE == -1 and L != ONE
+    with no_operators("__sub__", "__rsub__"):
+        diff, flipped = a - b, 1 - a
+    assert_matches(diff, ref_add(PIN_X, {key: -c for key, c in PIN_Y.items()}))
+    assert_matches(flipped, ref_add({(0, 0): 1}, {key: -c for key, c in PIN_X.items()}))
 
 
 @pytest.mark.parametrize(
@@ -784,8 +810,7 @@ def test_several_slot_carry_takes_the_product_layout(x, c):
     # layout included, whichever operand has the fewer slots
     want = EPoly(c) * EPoly(x)
     out = [ZERO]
-    with no_operators():
-        epoly._axpy(out, [EPoly(x)], EPoly(c), ((0, 0),))
+    cell_axpy(out, [EPoly(x)], EPoly(c), ((0, 0),))
     (got,) = out
     assert (got._k, got._w, got._vh, got._inf) == (want._k, want._w, want._vh, want._inf)
     assert_matches(got, ref_mul(c, x))

@@ -442,13 +442,16 @@ def _motivic_formula(monkeypatch, genus, degrees, s, hi):
 
 
 def _passes(monkeypatch, run) -> list[Window]:
-    """The window of each factor pass ``run()`` makes, seen at the two kernels."""
-    windows = []
-    for name in ("geometric_divide", "linear_multiply"):
-        step = getattr(formulas, name)
-        monkeypatch.setattr(
-            formulas, name, lambda a, *r, step=step: windows.append(a.window) or step(a, *r)
-        )
+    """The frame of each factor pass ``run()`` makes, seen at the walk's cell
+    kernel ``_pass``; its call with no factor, at the root, is no pass."""
+    windows, step = [], formulas._pass
+
+    def spy(acc, factor, frame, monomials):
+        if factor is not None:
+            windows.append(frame)
+        return step(acc, factor, frame, monomials)
+
+    monkeypatch.setattr(formulas, "_pass", spy)
     run()
     monkeypatch.undo()
     return windows
@@ -537,7 +540,7 @@ def test_every_walk_value_has_the_walk_stride(monkeypatch, run, stride):
 
     def spy_axpy(out, *args):
         axpy(out, *args)
-        seen.update(x._w for x in out if x)
+        seen.update(x[4] for x in out if x)  # a cell's stride
 
     monkeypatch.setattr(formulas, "_walk_stride", spy_stride)
     monkeypatch.setattr(formulas, "_axpy", spy_axpy)
@@ -545,6 +548,31 @@ def test_every_walk_value_has_the_walk_stride(monkeypatch, run, stride):
     series = run()
     assert walk_strides == [stride]
     assert seen == {x._w for x in series.values if x} == {stride}
+
+
+def test_walk_wraps_its_frame_once(monkeypatch):
+    # the walk carries bare cells: the values it makes are its seed, its terms
+    # at the walk stride, one monomial per distinct (pu, pv) and the cells of
+    # its frame, each wrapped once at the end, not one value per carry
+    formula, window = _motivic_formula(monkeypatch, 2, (0,) * 5, (1, 3), (6, 6))
+    made, wrap = [], epoly._wrap
+    monkeypatch.setattr(epoly, "_wrap", lambda cell: made.append(cell) or wrap(cell))
+    monkeypatch.setattr(qseries, "_wrap", epoly._wrap)
+    carries, axpy = [], epoly._axpy
+
+    def spy_axpy(out, src, c, pairs):
+        pairs = list(pairs)
+        carries.extend(pairs)
+        axpy(out, src, c, pairs)
+
+    monkeypatch.setattr(formulas, "_axpy", spy_axpy)
+    series = formulas._sigma_series(formula, window)
+    monkeypatch.undo()
+    terms = sum(map(len, formula.values()))
+    monomials = len({(pu, pv) for t in formula for _, pu, pv, _ in t})
+    assert (window.size, terms, monomials, len(carries)) == (49, 30, 16, 9347)
+    assert len(made) <= window.size + 1 + terms + monomials
+    assert series == formulas._evaluate(formula, window, parallel=True)
 
 
 # the factors a to d of ALPHABET, and x, y

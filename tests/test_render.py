@@ -214,6 +214,31 @@ def test_term_lists_at_any_stride(stride):
     assert cli._render({"a": block, "b": [block]}) == json.dumps({"a": want, "b": [want]}, indent=2)
 
 
+def test_each_distinct_digit_is_converted_once(monkeypatch):
+    # repeated, negative and 64-bit-slot digits, shared across coefficients
+    values = [
+        EPoly({(0, 0): 7, (0, 1): -7, (1, 1): 7, (2, 2): 7}),
+        EPoly({(0, 0): 2**40, (1, 2): -7, (2, 2): -(2**40)}),
+        EPoly({(0, 0): 7, (3, 3): -(2**40), (3, 4): 2**40}),
+    ]
+    series = MSeries(Window((0,), (2,)), {(d,): x for d, x in enumerate(values)})
+    digits = {c for x in values for c in x.terms.values()}
+    converted, missing = [], cli._Decimals.__missing__
+
+    def spy(memo, c):
+        converted.append(c)
+        return missing(memo, c)
+
+    monkeypatch.setattr(cli._Decimals, "__missing__", spy)
+    for _ in range(2):  # each series block gets its own writer and its own memo
+        converted.clear()
+        text = cli._render(cli._series(series, None))
+        assert text == json.dumps(series_to_json(series), indent=2)
+        assert sorted(converted) == sorted(digits)
+    # so no memo outlives its series
+    assert not [v for v in vars(cli).values() if isinstance(v, cli._Decimals)]
+
+
 @pytest.mark.parametrize("n", [5 << 64, 1 + (5 << 64), 1 + (5 << 224)])
 def test_digit_outside_its_band_raises(n):
     # a hand-built value whose vh under-states its band: rows of 4 slots,
