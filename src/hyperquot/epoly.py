@@ -110,7 +110,7 @@ class EPoly:
         if not coeff:
             return ZERO
         m = abs(coeff)
-        return _new(coeff, pu, pv - pu, _width(m), _stride(0), 0, m)
+        return _wrap((coeff, pu, pv - pu, _width(m), _stride(0), 0, m))
 
     @classmethod
     def from_int(cls, n: int) -> EPoly:
@@ -126,7 +126,7 @@ class EPoly:
         return t
 
     def __reduce__(self):
-        return _new, (self._n, self._ou, self._ov, self._k, self._w, self._vh, self._inf)
+        return _wrap, (_cell(self),)  # the packed fields, never the terms
 
     def __bool__(self) -> bool:
         return self._n != 0
@@ -150,7 +150,7 @@ class EPoly:
     __radd__ = __add__
 
     def __neg__(self) -> EPoly:
-        return _new(-self._n, self._ou, self._ov, self._k, self._w, self._vh, self._inf)
+        return _wrap((-self._n, self._ou, self._ov, self._k, self._w, self._vh, self._inf))
 
     def __sub__(self, other) -> EPoly:
         return _wrap(_carry(self, other, _MINUS))
@@ -211,18 +211,14 @@ def _cell(x: EPoly):
 
 
 def _wrap(cell) -> EPoly:
-    """The value of a cell: the inverse of ``_cell``."""
+    """The value of a cell, the inverse of ``_cell``: the one way a value
+    is made from packed fields, its unpickling included."""
     if not cell:
         return ZERO
     x = _alloc(EPoly)
     x._n, x._ou, x._ov, x._k, x._w, x._vh, x._inf = cell
     x._terms = None
     return x
-
-
-def _new(*fields) -> EPoly:
-    """The value of the packed fields (n, ou, ov, k, w, vh, inf)."""
-    return _wrap(fields)
 
 
 def _carry(a: EPoly, b, c):
@@ -360,7 +356,7 @@ def _at_stride(x: EPoly, w: int) -> EPoly:
     if x._w == w or x._vh >= w:
         return x
     n = x._n if x._n.bit_length() < x._k else _encode(x.terms, x._ou, x._ov, x._k, w)
-    return _new(n, x._ou, x._ov, x._k, w, x._vh, x._inf)
+    return _wrap((n, x._ou, x._ov, x._k, w, x._vh, x._inf))
 
 
 def _repack(n: int, k1: int, w1: int, k: int, w: int) -> int:
@@ -425,8 +421,7 @@ def _axpy(out: list, src: list, c, pairs: Iterable[tuple[int, int]]):
         x = src[i]
         if not x:
             continue
-        bn, bu, bv, xk, xw, bvh, binf = x
-        bk, bw = xk, xw
+        bn, bu, bv, bk, bw, bvh, binf = x  # x[3], x[4]: the layout bn is in
         if several:
             top = bn.bit_length() // bk
             if not top:  # one slot: the carry is c scaled by it
@@ -441,12 +436,12 @@ def _axpy(out: list, src: list, c, pairs: Iterable[tuple[int, int]]):
                     binf *= cl1
                 bvh += cvh
                 bk, bw = _layout(ck if ck >= bk else bk, cw if cw >= bw else bw, binf, bvh)
-                bn = _repack(bn, xk, xw, bk, bw) * _repack(c0, ck, cw, bk, bw)
+                bn = _repack(bn, x[3], x[4], bk, bw) * _repack(c0, ck, cw, bk, bw)
         elif m != 1:
             binf *= m
             if binf >> (bk - 1):
                 bk = _width(binf)
-                bn = _repack(bn, xk, bw, bk, bw)
+                bn = _repack(bn, x[3], bw, bk, bw)
             bn *= m
         bu += cu
         bv += cv

@@ -244,6 +244,6 @@ def test_digit_outside_its_band_raises(n):
     # a hand-built value whose vh under-states its band: rows of 4 slots,
     # vh = 1, and a digit in slot 2 or 3 of a row; the writer has no head
     # for it, so it raises rather than print a term it cannot place
-    x = epoly._new(n, 0, 0, 32, 4, 1, 5)
+    x = epoly._wrap((n, 0, 0, 32, 4, 1, 5))
     with pytest.raises(TypeError):
         cli._render(cli._series(MSeries(Window((0,), (0,)), {(0,): x}), None))
