@@ -3,24 +3,25 @@ fixed-locus statistics.  Exit codes: 0 success / suite passed, 1 suite
 failed, 2 invalid input, 3 internal error (traceback on stderr).
 
 The parsed arguments are the run's configuration.  ``main`` is the one
-pipeline: parse, take the smoothness verdict, run the command (its exit
-code and two thunks, the JSON result and the text lines), emit.  The
-verdict is evaluated once, before the command, which gets it as a value;
-every error it can raise is an invalid-input error the command raises too.
+pipeline: parse, build the geometry, take the smoothness verdict, run the
+command (its exit code and two thunks, the JSON result and the text lines),
+emit.  The geometry (curve, bundle, profile) is built and validated once,
+and the verdict evaluated once, before the command, which gets both as
+values; every error they can raise is an invalid-input error.
 
-A ``verify`` suite is an entry of ``SUITES``: a function (config, verdict)
--> (checked, mismatch), mismatch None when the suite passes.  A suite that
-checks coefficient by coefficient reports its first mismatch, and
-``checked`` counts up to and including it.
+A ``verify`` suite is an entry of ``SUITES``: a function (config, verdict,
+geometry) -> (checked, mismatch), mismatch None when the suite passes.  A
+suite that checks coefficient by coefficient reports its first mismatch,
+and ``checked`` counts up to and including it.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import re
 import sys
 from itertools import compress
+from types import SimpleNamespace
 
 # CPython's C accelerator alone: json.encoder would also load json.decoder and json.scanner
 from _json import encode_basestring_ascii as _quote
@@ -67,47 +68,48 @@ REALIZATIONS = {
     "poincare": (poincare_polynomial, "z"),
     "chi_y": (chi_y_polynomial, "y"),
 }
-# The echoed ``config`` block of a JSON report, in this key order.
-CONFIG_KEYS = (
-    "genus", "degrees", "s", "dmin", "dmax",
-    "realization", "format", "parallel", "assume_smooth", "suite",
-)
 
 
 class InputError(ValueError):
     """Invalid configuration; mapped to exit code 2."""
 
 
-def _parse_int_list(text: str, one: bool = False):
-    """A value flag's integers, a tuple or (``one``) a single integer."""
-    if not _INT_LIST.fullmatch(text):
-        raise InputError(f"expected comma-separated integers, got {text!r}")
+def _parse_ints(text: str, metavar: str):
+    """A value flag's integers: one integer for metavar "N", else a tuple."""
+    if not _INTS[metavar].fullmatch(text):
+        what = "one integer" if metavar == "N" else "comma-separated integers"
+        raise InputError(f"expected {what}, got {text!r}")
     try:
-        values = tuple(int(x) for x in text.split(","))
+        values = tuple(map(int, text.split(",")))
     except ValueError as exc:  # a literal past the interpreter's digit limit
         raise InputError(str(exc)) from exc
-    if one and len(values) != 1:
-        raise InputError(f"expected one integer, got {text!r}")
-    return values[0] if one else values
+    return values[0] if metavar == "N" else values
 
 
-def _require(config: argparse.Namespace, *fields: str):
+def _require(config: SimpleNamespace, *fields: str):
     for name in fields:
         if getattr(config, name) is None:
             raise InputError(f"--{name.replace('_', '-')} is required here")
 
 
-def _geometry(config: argparse.Namespace):
-    curve = CurveSpec(config.genus)
-    bundle = BundleSpec(config.degrees)
-    profile = NestingProfile(bundle.rank, config.s)
-    return curve, bundle, profile
+def _geometry(config: SimpleNamespace):
+    """The curve, bundle and profile of the command line, validated in that
+    order, and their smoothness verdict: without the whole geometry, None
+    and not evaluated; otherwise assumed smooth by flag or the criteria's
+    verdict.  ``main`` builds them once, for the command."""
+    if config.genus is None or config.degrees is None or config.s is None:
+        return None, SmoothnessVerdict(UNKNOWN, "not evaluated")
+    curve, bundle = CurveSpec(config.genus), BundleSpec(config.degrees)
+    geometry = curve, bundle, NestingProfile(bundle.rank, config.s)
+    if config.assume_smooth:
+        return geometry, SmoothnessVerdict(SMOOTH, "assumed by flag")
+    return geometry, smoothness_status(*geometry)
 
 
-def _setup(config: argparse.Namespace):
+def _setup(config: SimpleNamespace, geometry):
     """Curve, bundle, profile and window of a windowed command."""
     _require(config, "genus", "degrees", "s", "dmax")
-    curve, bundle, profile = _geometry(config)
+    curve, bundle, profile = geometry
     l = profile.length
     if len(config.dmax) != l:
         raise InputError(f"--dmax needs {l} entries, got {len(config.dmax)}")
@@ -115,17 +117,6 @@ def _setup(config: argparse.Namespace):
     if len(lo) != l:
         raise InputError(f"--dmin needs {l} entries, got {len(lo)}")
     return curve, bundle, profile, Window(lo, config.dmax)
-
-
-def _verdict(config: argparse.Namespace) -> SmoothnessVerdict:
-    """Not evaluated without the whole geometry; otherwise the geometry is
-    validated, then assumed smooth by flag or given its criteria verdict."""
-    if config.genus is None or config.degrees is None or config.s is None:
-        return SmoothnessVerdict(UNKNOWN, "not evaluated")
-    curve, bundle, profile = _geometry(config)
-    if config.assume_smooth:
-        return SmoothnessVerdict(SMOOTH, "assumed by flag")
-    return smoothness_status(curve, bundle, profile)
 
 
 # -- rendering ----------------------------------------------------------------
@@ -258,7 +249,7 @@ def _header(profile: NestingProfile) -> list[str]:
     ]
 
 
-def _emit(config: argparse.Namespace, verdict: SmoothnessVerdict, result, text_lines) -> None:
+def _emit(config: SimpleNamespace, verdict: SmoothnessVerdict, result, text_lines) -> None:
     """Print the report in the requested format.  ``result`` and
     ``text_lines`` are thunks, and only the one for ``--format`` runs.  A
     JSON report is written by ``_render``, piece by piece into one list
@@ -280,8 +271,8 @@ def _emit(config: argparse.Namespace, verdict: SmoothnessVerdict, result, text_l
 # -- compute ------------------------------------------------------------------
 
 
-def cmd_compute(config: argparse.Namespace, verdict):
-    curve, bundle, profile, window = _setup(config)
+def cmd_compute(config: SimpleNamespace, verdict, geometry):
+    curve, bundle, profile, window = _setup(config, geometry)
     if config.realization == "euler":
         series = euler_partition_function(curve, bundle, profile, window)
     else:
@@ -339,38 +330,38 @@ def _cells(lhs: MSeries, rhs: MSeries, left: str, right: str):
         yield None if a == b else {"d": list(d), left: format_epoly(a), right: format_epoly(b)}
 
 
-def _genus0(config: argparse.Namespace):
+def _genus0(config: SimpleNamespace, geometry):
     """The geometry and window of a genus-0 suite, and its product form."""
-    geometry = _setup(config)
+    setup = _setup(config, geometry)
     if config.genus != 0:
         raise InputError(f"suite {config.suite} needs --genus 0")
-    if geometry[1].max_gap:
+    if setup[1].max_gap:
         raise InputError("this suite needs all summand degrees equal")
-    return geometry, genus0_closed_form(*geometry[1:])
+    return setup, genus0_closed_form(*setup[1:])
 
 
-def _verify_oracle(config: argparse.Namespace, verdict):
-    geometry = _setup(config)
-    series = motivic_partition_function(*geometry, parallel=config.parallel)
-    rhs = oracle_partition_function(*geometry)
+def _verify_oracle(config: SimpleNamespace, verdict, geometry):
+    setup = _setup(config, geometry)
+    series = motivic_partition_function(*setup, parallel=config.parallel)
+    rhs = oracle_partition_function(*setup)
     return _first(_cells(series, rhs, "formula", "enumeration"))
 
 
-def _verify_genus0(config: argparse.Namespace, verdict):
-    geometry, product = _genus0(config)
-    series = motivic_partition_function(*geometry, parallel=config.parallel)
+def _verify_genus0(config: SimpleNamespace, verdict, geometry):
+    setup, product = _genus0(config, geometry)
+    series = motivic_partition_function(*setup, parallel=config.parallel)
     return _first(_cells(series, product, "fixed_locus_sum", "product_form"))
 
 
-def _verify_euler_spec(config: argparse.Namespace, verdict):
-    geometry = _setup(config)
-    series = motivic_partition_function(*geometry, parallel=config.parallel)
+def _verify_euler_spec(config: SimpleNamespace, verdict, geometry):
+    setup = _setup(config, geometry)
+    series = motivic_partition_function(*setup, parallel=config.parallel)
     lhs = MSeries(series.window, {d: euler_number(c) for d, c in series.items()})
-    rhs = euler_partition_function(*geometry)
+    rhs = euler_partition_function(*setup)
     return _first(_cells(lhs, rhs, "specialized", "euler_series"))
 
 
-def _verify_lemma_h(config: argparse.Namespace, verdict):
+def _verify_lemma_h(config: SimpleNamespace, verdict, geometry):
     _require(config, "degrees", "s")
     profile = NestingProfile(len(config.degrees), config.s)
     checked = len(block_permutations(profile))
@@ -378,11 +369,11 @@ def _verify_lemma_h(config: argparse.Namespace, verdict):
     return checked, None if stratum_weight_identity(profile) else {"detail": detail}
 
 
-def _verify_duality(config: argparse.Namespace, verdict):
-    curve, bundle, profile, _ = geometry = _setup(config)
+def _verify_duality(config: SimpleNamespace, verdict, geometry):
+    curve, bundle, profile, _ = setup = _setup(config, geometry)
     if not verdict.is_smooth:
         raise InputError("suite duality needs a Smooth verdict or --assume-smooth")
-    series = motivic_partition_function(*geometry, parallel=config.parallel)
+    series = motivic_partition_function(*setup, parallel=config.parallel)
 
     def check(d, c):
         vd = virtual_dimension(profile, d, curve.genus, bundle.total_degree)
@@ -393,15 +384,15 @@ def _verify_duality(config: argparse.Namespace, verdict):
     return _first(check(d, c) for d, c in series.items())
 
 
-def _verify_zeta_rat(config: argparse.Namespace, verdict):
+def _verify_zeta_rat(config: SimpleNamespace, verdict, geometry):
     _require(config, "genus")
     g = CurveSpec(config.genus).genus
     ok = zeta_rationality_check(g, 2 * g + 10)  # numerator coefficients 2g+1 .. 2g+10
     return 10, None if ok else {"detail": f"numerator degree exceeds {2 * g}"}
 
 
-def _verify_b0(config: argparse.Namespace, verdict):
-    _, product = _genus0(config)
+def _verify_b0(config: SimpleNamespace, verdict, geometry):
+    _, product = _genus0(config, geometry)
     b0s = ((d, poincare_polynomial(c).get(0, 0)) for d, c in product.items())
     return _first(None if b0 == 1 else {"d": list(d), "b0": b0} for d, b0 in b0s)
 
@@ -413,9 +404,9 @@ SUITES = {
 }
 
 
-def cmd_verify(config: argparse.Namespace, verdict):
+def cmd_verify(config: SimpleNamespace, verdict, geometry):
     suite = config.suite
-    checked, mismatch = SUITES[suite](config, verdict)
+    checked, mismatch = SUITES[suite](config, verdict, geometry)
     passed = mismatch is None
     result = {"suite": suite, "passed": passed, "checked": checked, "mismatch": mismatch}
     lines = [f"suite {suite}: {'PASS' if passed else 'FAIL'} ({checked} checks)"]
@@ -427,8 +418,8 @@ def cmd_verify(config: argparse.Namespace, verdict):
 # -- info ----------------------------------------------------------------------
 
 
-def cmd_info(config: argparse.Namespace, verdict):
-    curve, bundle, profile, window = _setup(config)
+def cmd_info(config: SimpleNamespace, verdict, geometry):
+    curve, bundle, profile, window = _setup(config, geometry)
     counts = fixed_component_counts(bundle, profile, window)
     table = [
         {
@@ -455,84 +446,94 @@ def cmd_info(config: argparse.Namespace, verdict):
 
 # -- entry point ----------------------------------------------------------------
 
-
-class _Parser(argparse.ArgumentParser):
-    """An argparse parser, and so each of its subparsers, whose refusal of
-    an input raises ``InputError``: one ``error:`` line and exit 2, as for
-    every other invalid input.  ``--help`` still exits 0."""
-
-    def error(self, message: str):
-        raise InputError(message)
-
-
-@functools.cache
-def build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level argparse parser and its subparsers by command word,
-    built on first use and then reused.  No parser takes an abbreviated
-    flag: ``--deg`` is refused like any unknown flag, whatever its value."""
-    parser = _Parser(
-        prog="hyperquot",
-        description="Exact partition functions of hyperquot schemes on curves.",
-        allow_abbrev=False,
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name: str, summary: str, run) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=summary, allow_abbrev=False)
-        p.add_argument("--genus", type=str, help="genus of the curve")
-        p.add_argument("--degrees", type=str, help="comma-separated summand degrees")
-        p.add_argument("--s", type=str, help="comma-separated quotient ranks")
-        p.add_argument("--dmax", type=str, help="window upper bounds, one per rank step")
-        p.add_argument("--dmin", type=str, help="window lower bounds (default: minimal prefactors)")
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--parallel", action="store_true")
-        p.add_argument("--assume-smooth", action="store_true", dest="assume_smooth")
-        p.set_defaults(realization="motivic", suite=None, run=run)
-        return p
-
-    compute = command("compute", "compute a partition function", cmd_compute)
-    compute.add_argument("--realization", choices=REALIZATIONS, default="motivic")
-    verify = command("verify", "run a cross-check suite", cmd_verify)
-    verify.add_argument("--suite", choices=SUITES, required=True)
-    command("info", "dimensions and fixed-locus statistics", cmd_info)
-    return parser, sub.choices
+# The grammar of a command line: a command word, then flags in any order, each
+# "--flag value" or "--flag=value", the last of a repeated flag winning.  A
+# flag is (attribute, values, default, command, help).  Its values are a value
+# flag's metavar ("N" one integer, "N,..." a comma-separated list), a choice
+# flag's choices, or None for a switch.  A flag with a command is that
+# command's own, and must be given if it has no default; the others are every
+# command's.  The attributes, in this order, are the JSON report's ``config``.
+FLAGS = {
+    "--genus": ("genus", "N", None, None, "genus of the curve"),
+    "--degrees": ("degrees", "N,...", None, None, "summand degrees"),
+    "--s": ("s", "N,...", None, None, "quotient ranks"),
+    "--dmin": ("dmin", "N,...", None, None, "window lower bounds (default: minimal prefactors)"),
+    "--dmax": ("dmax", "N,...", None, None, "window upper bounds, one per rank step"),
+    "--realization": ("realization", tuple(REALIZATIONS), "motivic", "compute", "series realization"),
+    "--format": ("format", ("text", "json"), "text", None, "report format"),
+    "--parallel": ("parallel", None, False, None, "walk a formula's branches in worker processes"),
+    "--assume-smooth": ("assume_smooth", None, False, None, "take the scheme to be smooth"),
+    "--suite": ("suite", tuple(SUITES), None, "verify", "the suite to run"),
+}
+# Each command word's run function and summary.
+COMMANDS = {
+    "compute": (cmd_compute, "compute a partition function"),
+    "verify": (cmd_verify, "run a cross-check suite"),
+    "info": (cmd_info, "dimensions and fixed-locus statistics"),
+}
+CONFIG_KEYS = tuple(spec[0] for spec in FLAGS.values())
+_DEFAULTS = {spec[0]: spec[2] for spec in FLAGS.values()}
+_DESCRIPTION = "Exact partition functions of hyperquot schemes on curves."
+# The integer grammars of the value flags: ASCII digits, as ``epoly._decimal``.
+_INTS = {"N": re.compile(r"-?[0-9]+"), "N,...": re.compile(r"-?[0-9]+(,-?[0-9]+)*")}
 
 
-_VALUE_FLAGS = {"--genus", "--degrees", "--s", "--dmax", "--dmin"}
-# The one integer grammar of every value flag: ASCII digits, as ``epoly._decimal``.
-_INT_LIST = re.compile(r"-?[0-9]+(,-?[0-9]+)*")
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """The configuration of a command line, read in one pass by the table
+    ``FLAGS``: an attribute per key of ``CONFIG_KEYS``, and ``run``, the
+    command's run function.  Every refusal (no command word first, an
+    unknown or abbreviated flag or another command's, a value flag with no
+    value, a bad choice or integer list, a missing own flag) raises
+    ``InputError``; ``-h`` or ``--help`` anywhere prints the usage text and
+    exits 0."""
+    if "-h" in argv or "--help" in argv:
+        _help()
+    word = argv[0] if argv else None
+    if word not in COMMANDS:
+        raise InputError(f"expected a command first ({', '.join(COMMANDS)}), got {word or 'none'}")
+    given, tokens = {}, iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        spec = FLAGS.get(flag)
+        if spec is None or spec[3] not in (None, word):
+            raise InputError(f"unrecognized argument {token!r}")
+        name, values = spec[:2]
+        if values is None and eq:
+            raise InputError(f"{flag} takes no value")
+        if values is not None and not eq:
+            value = next(tokens, "--")  # no value starts with "--": a flag here is not taken as one
+            if value.startswith("--"):
+                raise InputError(f"{flag} expects a value")
+        if isinstance(values, tuple) and value not in values:
+            raise InputError(f"{flag}: invalid choice {value!r} (choose from {', '.join(values)})")
+        given[name] = True if values is None else value
+    for flag, (name, values, default, command, _) in FLAGS.items():
+        if name in given and isinstance(values, str):
+            given[name] = _parse_ints(given[name], values)
+        elif name not in given and default is None and command == word:
+            raise InputError(f"{flag} is required")
+    return SimpleNamespace(**{**_DEFAULTS, **given}, run=COMMANDS[word][0])
 
 
-def _normalize_argv(argv: list[str]) -> list[str]:
-    """Join an integer list to the token before it when that is a bare
-    value flag ("--dmin -1,0" becomes "--dmin=-1,0"), since argparse would
-    otherwise read a negative value as an unknown option."""
-    out: list[str] = []
-    for tok in argv:
-        if out and out[-1] in _VALUE_FLAGS and _INT_LIST.fullmatch(tok):
-            out[-1] = f"{out[-1]}={tok}"
-        else:
-            out.append(tok)
-    return out
+def _help():
+    """Print the usage text, read off ``COMMANDS`` and ``FLAGS``, and exit 0."""
+    lines = ["usage: hyperquot COMMAND [--flag value | --flag=value ...]", "", _DESCRIPTION]
+    lines += ["", "commands:", *(f"  {word:<9}{c[1]}" for word, c in COMMANDS.items()), "flags:"]
+    for flag, (_, values, default, command, text) in FLAGS.items():
+        arg = "{%s}" % ",".join(values) if isinstance(values, tuple) else values or ""
+        only = f"{command} only{', required' if default is None else ''}: " if command else ""
+        lines.append(f"  {flag} {arg}".rstrip() + f"\n      {only}{text}")
+    print("\n".join(lines))
+    raise SystemExit(0)
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command line and return its exit code.  A command word first
-    picks its subparser, which parses the rest of argv once; anything else
-    (``--help``, an option first, a missing or unknown command) goes to the
-    top-level parser, whose help text or refusal is argparse's own."""
-    argv = sys.argv[1:] if argv is None else list(argv)
+    """Run one command line and return its exit code: parse it, build its
+    geometry once, take the smoothness verdict, run the command, emit."""
     try:
-        parser, commands = build_parsers()
-        if argv and argv[0] in commands:
-            config = commands[argv[0]].parse_args(_normalize_argv(argv[1:]))
-        else:
-            config = parser.parse_args(_normalize_argv(argv))
-        for name in ("genus", "degrees", "s", "dmax", "dmin"):
-            if getattr(config, name) is not None:
-                setattr(config, name, _parse_int_list(getattr(config, name), name == "genus"))
-        verdict = _verdict(config)
-        code, result, lines = config.run(config, verdict)
+        config = _parse(sys.argv[1:] if argv is None else argv)
+        geometry, verdict = _geometry(config)
+        code, result, lines = config.run(config, verdict, geometry)
         _emit(config, verdict, result, lines)
         return code
     except (InputError, InvalidProfile, InvalidTuple, WindowMismatch, NegativeExponent) as exc:

@@ -112,16 +112,27 @@ def _sigma_series(formula: Formula, window: Window) -> MSeries:
     monomial per distinct factor monomial and the cells of the result,
     each wrapped once."""
     hi = window.hi
-    live = {}
+    live, lows, highs = {}, [], []
     for factors, terms in formula.items():
         terms = [t for t in terms if all(h >= s for h, s in zip(hi, t[0]))]
-        if terms:
-            live[factors] = terms
+        if not terms:
+            continue
+        live[factors] = terms
+        down = up = 0  # the tuple's band moves, as ``_walk_stride`` counts them
+        for _, pu, pv, _ in factors:
+            if pv < pu:
+                down += pv - pu
+            else:
+                up += pv - pu
+        for _, c in terms:
+            _, _, c_lo, c_hi = _box(c)
+            lows.append(down + c_lo)
+            highs.append(up + c_hi)
     if not live:
         return zero_series(window)
     base = tuple(map(min, zip(*(s for terms in live.values() for s, _ in terms))))
     frame = window if base == window.lo else Window(base, hi)
-    w = _walk_stride(live)
+    w = _walk_stride((min(lows), max(highs)))
     k = _cut(list(live))
     root, sinks, folds = _Node(), _Node(), []
     for factors, terms in live.items():
@@ -167,32 +178,20 @@ def _sigma_series(formula: Formula, window: Window) -> MSeries:
     return _dense(window, out)
 
 
-def _walk_stride(live: Formula) -> int:
-    """The stride of the values of a walk over ``live``: one more than the
-    widest band pv - pu that they can span, and at most 32, the coarse
-    stride of a band under 32 wide, so no walk packs wider than the coarse
-    rule.  A linear factor moves a term's band by its pv - pu once or not
-    at all, so the products of a tuple's factors lie in the bands from the
-    sum of its negative moves to the sum of its positive ones, and a term's
-    coefficient moves that range by its own band; the walk's sums lie in
-    the union of these ranges.  A geometric factor that moved the band
-    would move it by every power (no formula builder makes one); it is
-    counted once, and as for a band over 32 wide, ``_layout`` widens the
-    values that outgrow the stride."""
-    lows, highs = [], []
-    for factors, terms in live.items():
-        down = up = 0
-        for _, pu, pv, _ in factors:
-            b = pv - pu
-            if b < 0:
-                down += b
-            else:
-                up += b
-        for _, c in terms:
-            _, _, c_lo, c_hi = _box(c)
-            lows.append(down + c_lo)
-            highs.append(up + c_hi)
-    return min(32, max(highs) - min(lows) + 1)
+def _walk_stride(bands: tuple[int, int]) -> int:
+    """The stride of the values of a walk whose values lie in the bands
+    pv - pu from ``bands[0]`` to ``bands[1]``: one more than the width of
+    that range, and at most 32, the coarse stride of a band under 32 wide,
+    so no walk packs wider than the coarse rule.  ``_sigma_series`` bounds
+    the range as it picks the live terms: a linear factor moves a term's
+    band by its pv - pu once or not at all, so the products of a tuple's
+    factors lie in the bands from the sum of its negative moves to the sum
+    of its positive ones, and a term's coefficient moves that range by its
+    own band; the walk's sums lie in the union of these ranges.  A
+    geometric factor that moved the band would move it by every power (no
+    formula builder makes one); it is counted once, and as for a band over
+    32 wide, ``_layout`` widens the values that outgrow the stride."""
+    return min(32, bands[1] - bands[0] + 1)
 
 
 def _pass(acc: list, factor: Factor | None, frame: Window, monomials: dict) -> list:

@@ -1,6 +1,5 @@
 """Command-line surface: exit codes, JSON round-trips, determinism."""
 
-import argparse
 import contextlib
 import io
 import json
@@ -141,42 +140,128 @@ def _ints(lo: int, hi: int, size: int):
 
 
 @st.composite
-def verify_argv(draw):
-    """``verify`` argv for any suite over small geometries, some of them invalid."""
+def cli_argv(draw):
+    """A command word and its flags as (flag, value) pairs, value None for a
+    switch: any command over small geometries, some of them invalid.
+    ``--parallel`` is left out, as it starts a process pool."""
+    command = draw(st.sampled_from(sorted(cli.COMMANDS)))
     rank, length = draw(st.integers(1, 3)), draw(st.integers(1, 2))
     s = sorted(draw(st.sets(st.integers(1, 3), min_size=length, max_size=length)))
-    argv = [
-        "verify", "--suite", draw(st.sampled_from(sorted(cli.SUITES))),
-        "--genus", str(draw(st.integers(0, 2))),
-        "--degrees", draw(_ints(-2, 2, rank)),
-        "--s", ",".join(map(str, s)),
-        "--dmax", draw(_ints(-3, 3, length)),
-        "--format", draw(st.sampled_from(["text", "json"])),
+    pairs = [
+        ("--genus", str(draw(st.integers(0, 2)))),
+        ("--degrees", draw(_ints(-2, 2, rank))),
+        ("--s", ",".join(map(str, s))),
+        ("--dmax", draw(_ints(-3, 3, length))),
+        ("--format", draw(st.sampled_from(["text", "json"]))),
     ]
+    if command == "verify":
+        pairs.append(("--suite", draw(st.sampled_from(sorted(cli.SUITES)))))
+    if command == "compute" and draw(st.booleans()):
+        pairs.append(("--realization", draw(st.sampled_from(sorted(cli.REALIZATIONS)))))
     if draw(st.booleans()):
-        argv += ["--dmin", draw(_ints(-3, 3, length))]
+        pairs.append(("--dmin", draw(_ints(-3, 3, length))))
     if draw(st.booleans()):
-        argv.append("--assume-smooth")
+        pairs.append(("--assume-smooth", None))
+    return command, pairs
+
+
+def spell(command: str, pairs, equals=()) -> list[str]:
+    """The argv of a command word and its (flag, value) pairs, the pairs at
+    the indices in ``equals`` each one "--flag=value" token."""
+    argv = [command]
+    for i, (flag, value) in enumerate(pairs):
+        argv += [flag] if value is None else [f"{flag}={value}"] if i in equals else [flag, value]
     return argv
 
 
-@settings(max_examples=150, deadline=None)
-@given(verify_argv())
-def test_verify_exit_code_contract(argv):
-    # 0 passed, 2 refused with nothing on stdout; 1 (failed) only from
-    # duality under --assume-smooth: the other suites' identities hold on
-    # every input, and duality's only on a smooth scheme
+def run_quiet(argv: list[str]) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    if "--assume-smooth" in argv and argv[2] == "duality":
-        assert code in (0, 1, 2), err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+# proper prefixes of a flag that are no flag themselves, such as --deg
+ABBREVIATIONS = sorted({f[:n] for f in cli.FLAGS for n in range(3, len(f))} - set(cli.FLAGS))
+
+
+def flags_of(command: str) -> dict:
+    """The flags ``command`` takes: every command's and its own."""
+    return {flag: spec for flag, spec in cli.FLAGS.items() if spec[3] in (None, command)}
+
+
+@st.composite
+def refusal(draw, command: str) -> list[str]:
+    """Tokens that make an argv of ``command`` a refusal wherever they go
+    before a flag, at the end or before the command word: an unknown,
+    abbreviated or other command's flag, a bad choice, a switch given a
+    value, or a value flag with no value."""
+    flags = flags_of(command)
+    value_flags = sorted(f for f, spec in flags.items() if isinstance(spec[1], str))
+    choice_flags = sorted(f for f, spec in flags.items() if isinstance(spec[1], tuple))
+    foreign = draw(st.sampled_from(sorted(set(cli.FLAGS) - set(flags))))
+    flag, value = draw(st.sampled_from([
+        ("--bogus", "1"),
+        (draw(st.sampled_from(ABBREVIATIONS)), "0,0"),
+        (foreign, cli.FLAGS[foreign][1][0]),
+        (draw(st.sampled_from(choice_flags)), "xml"),
+        ("--assume-smooth", "yes"),
+        (draw(st.sampled_from(value_flags)), None),
+    ]))
+    if value is None:
+        return [flag]
+    return [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+
+
+# An accepted argv of each command, for the refusals of a drawn argv that is
+# refused anyway.  Its switch comes first, so a value flag with no value put
+# before it, and given again later, is refused only if the switch is not
+# taken as its value.
+ACCEPTED = {
+    command: [command, "--assume-smooth", *flags, "--genus", "0", "--degrees", "0,0", "--s", "1",
+              "--dmax", "1"]
+    for command, flags in (("compute", []), ("verify", ["--suite", "oracle"]), ("info", []))
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(cli_argv(), st.data())
+def test_exit_code_contract(well_formed, data):
+    # 0 success or passed, 2 refused with nothing on stdout; 1 (failed) only
+    # from duality under --assume-smooth: the other suites' identities hold
+    # on every input, and duality's only on a smooth scheme
+    command, pairs = well_formed
+    code, out, err = run_quiet(spell(command, pairs))
+    if ("--suite", "duality") in pairs and ("--assume-smooth", None) in pairs:
+        assert code in (0, 1, 2), err
     else:
-        assert code in (0, 2), err.getvalue()
+        assert code in (0, 2), err
     if code == 2:
-        assert out.getvalue() == ""
-    elif "json" in argv:
-        assert json.loads(out.getvalue())["result"]["passed"] is (code == 0)
+        assert out == ""
+    elif command == "verify" and ("--format", "json") in pairs:
+        assert json.loads(out)["result"]["passed"] is (code == 0)
+    # the same flags in any order, each in either form, after earlier copies
+    # of some of them, which the last copy overrides: byte-identical stdout
+    flags = flags_of(command)
+    earlier = [
+        (flag, value if value is None else "9" if isinstance(flags[flag][1], str)
+         else data.draw(st.sampled_from(flags[flag][1])))
+        for flag, value in data.draw(st.lists(st.sampled_from(pairs), max_size=3))
+    ]
+    mixed = earlier + data.draw(st.permutations(pairs))
+    equals = data.draw(st.sets(st.integers(0, len(mixed) - 1)))
+    argv = spell(command, mixed, equals)
+    assert run_quiet(argv)[:2] == (code, out), argv
+    # a refusal before a flag, at the end or before the command word of an
+    # accepted argv: exit 2, one error line and nothing on stdout
+    base = argv if code != 2 else ACCEPTED[command]
+    at = data.draw(st.sampled_from(
+        [0, len(base)] + [i for i, token in enumerate(base) if token.startswith("--")]
+    ))
+    argv = base[:at] + data.draw(refusal(command)) + base[at:]
+    code, out, err = run_quiet(argv)
+    assert (code, out) == (2, ""), argv
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_verify_duality_requires_certificate(capsys):
@@ -515,41 +600,32 @@ def test_argparse_refusal_is_one_error_line(capsys):
 
 
 def test_argv_is_parsed_once(capsys, monkeypatch):
-    # the command word picks its subparser, and only that parser reads argv
-    seen, parse = [], argparse.ArgumentParser.parse_known_args
-    monkeypatch.setattr(
-        argparse.ArgumentParser,
-        "parse_known_args",
-        lambda self, *a, **k: seen.append(self.prog) or parse(self, *a, **k),
-    )
+    # main hands argv to the one table-driven parser, once
+    seen, parse = [], cli._parse
+    monkeypatch.setattr(cli, "_parse", lambda argv: seen.append(list(argv)) or parse(argv))
     geometry = ["--genus", "0", "--degrees", "0,0", "--s", "1", "--dmax", "1"]
-    for command, *flags in (["compute"], ["verify", "--suite", "oracle"], ["info"]):
+    for argv in (["compute"], ["verify", "--suite", "oracle"], ["info"]):
         seen.clear()
-        assert run(capsys, command, *flags, *geometry)[0] == 0
-        assert seen == [f"hyperquot {command}"]
+        assert run(capsys, *argv, *geometry)[0] == 0
+        assert seen == [argv + geometry]
 
 
-def test_parser_is_built_once_and_not_at_import():
+def test_commands_load_neither_argparse_nor_gettext():
+    # the parser is one table and one pass: neither the import nor a call of
+    # each command loads argparse or the gettext it brings along
     src = Path(__file__).resolve().parents[1] / "src"
     probe = "\n".join([
-        "import argparse, contextlib, io",
-        "built = []",
-        "add_subparsers = argparse.ArgumentParser.add_subparsers",
-        "def spy(self, **kwargs):",
-        "    built.append(1)",
-        "    return add_subparsers(self, **kwargs)",
-        "argparse.ArgumentParser.add_subparsers = spy",
+        "import contextlib, io, sys",
         "import hyperquot.cli as cli",
-        "at_import = len(built)",
+        "geometry = ['--genus', '0', '--degrees', '0,0', '--s', '1', '--dmax', '1']",
         "with contextlib.redirect_stdout(io.StringIO()):",
-        "    for args in (['info', '--genus', '0', '--degrees', '0,0', '--s', '1', '--dmax', '1'],",
-        "                 ['verify', '--suite', 'zeta_rat', '--genus', '1'],",
-        "                 ['compute', '--genus', '0', '--degrees', '0,0', '--s', '1', '--dmax', '1']):",
+        "    for args in (['compute', *geometry], ['verify', '--suite', 'oracle', *geometry],",
+        "                 ['info', *geometry]):",
         "        assert cli.main(args) == 0",
-        "print(at_import, len(built))",
+        "print(sorted({'argparse', 'gettext'} & set(sys.modules)))",
     ])
     env = {**os.environ, "PYTHONPATH": str(src)}
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     ).stdout
-    assert out.split() == ["0", "1"]
+    assert out.strip() == "[]"
