@@ -56,11 +56,13 @@ class EPoly:
     sum, a difference and a product are each one ``_axpy`` carry on cells,
     the only place two packed integers meet: a sum carries the other value
     with c = 1, one aligned bigint add, a difference with c = -1, with no
-    negated copy, and a product carries the factor with more slots, times
-    the one with fewer, into ``[0]``.  With a one-slot factor (a monomial)
-    that carry moves the offsets, scales the integer only by a coefficient
-    other than +-1 and takes the sign at the add; otherwise it is one
-    multiply of the two integers repacked to a common layout.
+    negated copy, and a product carries the other factor times this one
+    into ``[0]``, whichever has more slots.  With a one-slot factor (a
+    monomial) that carry moves the offsets, scales the integer only by a
+    coefficient other than +-1 and takes the sign at the add, in the other
+    factor's layout; otherwise it is one multiply of the two integers
+    repacked to a common layout.  Either way the result does not depend on
+    the order of the factors.
 
     K and W come from bounds that travel with each value, exact for a value
     built from its terms: ``vh`` >= every ``b - a - ov`` and ``inf`` >=
@@ -159,12 +161,7 @@ class EPoly:
         return _coerce(other) - self
 
     def __mul__(self, other) -> EPoly:
-        if type(other) is not EPoly:
-            other = _coerce(other)
-        a, b = self, other
-        if a._n.bit_length() // a._k > b._n.bit_length() // b._k:
-            a, b = b, a  # a has the fewer slots, so its digits are the ones read
-        return _wrap(_carry(ZERO, b, _cell(a)))
+        return _wrap(_carry(ZERO, other, _cell(self)))
 
     __rmul__ = __mul__
 

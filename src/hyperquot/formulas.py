@@ -105,6 +105,9 @@ def _sigma_series(formula: Formula, window: Window) -> MSeries:
     The walk's seed and its terms are put in the stride of ``_walk_stride``,
     and every value the walk makes keeps it, since ``_axpy`` keeps the wider
     of two layouts and widens only for a band the stride does not hold.
+    The live filter gathers the bands of the terms; the band moves of the
+    factors are read from the first live tuple alone, since every tuple of
+    a formula moves the band alike.
 
     From its seed to its final frame the walk keeps lists of cells
     (``epoly._cell``), which ``_axpy`` reads and writes, so a carry builds
@@ -115,24 +118,23 @@ def _sigma_series(formula: Formula, window: Window) -> MSeries:
     live, lows, highs = {}, [], []
     for factors, terms in formula.items():
         terms = [t for t in terms if all(h >= s for h, s in zip(hi, t[0]))]
-        if not terms:
-            continue
-        live[factors] = terms
-        down = up = 0  # the tuple's band moves, as ``_walk_stride`` counts them
-        for _, pu, pv, _ in factors:
-            if pv < pu:
-                down += pv - pu
-            else:
-                up += pv - pu
-        for _, c in terms:
-            _, _, c_lo, c_hi = _box(c)
-            lows.append(down + c_lo)
-            highs.append(up + c_hi)
+        if terms:
+            live[factors] = terms
+            for _, c in terms:
+                _, _, c_lo, c_hi = _box(c)
+                lows.append(c_lo)
+                highs.append(c_hi)
     if not live:
         return zero_series(window)
     base = tuple(map(min, zip(*(s for terms in live.values() for s, _ in terms))))
     frame = window if base == window.lo else Window(base, hi)
-    w = _walk_stride((min(lows), max(highs)))
+    down = up = 0  # the band moves of every tuple, read from the first (``_walk_stride``)
+    for _, pu, pv, _ in next(iter(live)):
+        if pv < pu:
+            down += pv - pu
+        else:
+            up += pv - pu
+    w = _walk_stride((min(lows) + down, max(highs) + up))
     k = _cut(list(live))
     root, sinks, folds = _Node(), _Node(), []
     for factors, terms in live.items():
@@ -183,14 +185,18 @@ def _walk_stride(bands: tuple[int, int]) -> int:
     pv - pu from ``bands[0]`` to ``bands[1]``: one more than the width of
     that range, and at most 32, the coarse stride of a band under 32 wide,
     so no walk packs wider than the coarse rule.  ``_sigma_series`` bounds
-    the range as it picks the live terms: a linear factor moves a term's
-    band by its pv - pu once or not at all, so the products of a tuple's
-    factors lie in the bands from the sum of its negative moves to the sum
-    of its positive ones, and a term's coefficient moves that range by its
-    own band; the walk's sums lie in the union of these ranges.  A
-    geometric factor that moved the band would move it by every power (no
-    formula builder makes one); it is counted once, and as for a band over
-    32 wide, ``_layout`` widens the values that outgrow the stride."""
+    the range from the terms it keeps and one factor tuple: a linear factor
+    moves a term's band by its pv - pu once or not at all, so the products
+    of a tuple's factors lie in the bands from the sum of its negative
+    moves to the sum of its positive ones, and a term's coefficient moves
+    that range by its own band.  Every tuple of a formula is one
+    ``_product`` over the same slots, and no rule's moves at a slot depend
+    on the block permutation (the zeta rule has g moves of -1 and g of +1,
+    the genus-0 and integer rules none), so the first live tuple's sums
+    hold for all.  A formula that broke this, or a geometric factor that
+    moved the band, which would move it by every power (no formula builder
+    makes either), changes no coefficient: as for a band over 32 wide,
+    ``_layout`` widens the values that outgrow the stride."""
     return min(32, bands[1] - bands[0] + 1)
 
 

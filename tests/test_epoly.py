@@ -753,6 +753,8 @@ PIN_WIDE = {(0, 0): 2**40, (0, 40): -1, (3, 5): 9}  # 64-bit slots, band 40 wide
         (PIN_Y, PIN_X, (64, 32, -1, 1, 4, 7 * (2**30 + 5))),
         (PIN_WIDE, PIN_Y, (64, 64, -1, 1, 41, 13 * 2**40)),
         (PIN_X, PIN_WIDE, (96, 64, 0, 0, 43, 2**40 * (2**30 + 5))),
+        (PIN_Y, PIN_WIDE, (64, 64, -1, 1, 41, 13 * 2**40)),
+        (PIN_WIDE, PIN_X, (96, 64, 0, 0, 43, 2**40 * (2**30 + 5))),
     ],
 )
 def test_product_layouts_are_pinned(a, b, pinned):

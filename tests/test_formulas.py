@@ -657,6 +657,11 @@ def test_every_formula_is_one_slot_product(case):
         sizes = formulas._trie_sizes(tuples)
         for d in range(n + 1):
             assert sizes[d] == sum(len({t[:e] for t in tuples}) for e in range(1, d + 1))
+        # the walk stride reads the band moves of the first tuple alone: every
+        # tuple sums the same negative moves and the same positive ones
+        moves = [[pv - pu for _, pu, pv, _ in t] for t in tuples]
+        bands = [(sum(d for d in m if d < 0), sum(d for d in m if d > 0)) for m in moves]
+        assert bands == [bands[0]] * len(bands)
 
 
 @pytest.mark.parametrize("genus", [0, 1, 2, 3])

@@ -4,9 +4,10 @@ and the sha256 of its recorded stdout.
 
 ``perfbench/golden.json`` maps each case (argv joined by single spaces) to
 ``[exit code, stdout sha256]``.  The cases run the way a benchmark pass runs
-them: in one process, in corpus order, with stdout and stderr captured and
-an argparse rejection read as its exit code.  The corpus also checks that
-a series walk keeps one stride (``formulas._walk_stride``).
+them: in one process, in corpus order, with stdout and stderr captured.  A
+refused input exits 2 through ``cli.InputError``, which ``main`` returns;
+only ``--help`` raises ``SystemExit``, read as its exit code.  The corpus
+also checks that a series walk keeps one stride (``formulas._walk_stride``).
 """
 
 import contextlib

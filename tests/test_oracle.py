@@ -211,6 +211,27 @@ def test_formula_matches_oracle_on_random_inputs(inputs):
     assert specialized == euler_partition_function(curve, bundle, profile, window)
 
 
+@settings(max_examples=100, deadline=None)
+@given(small_inputs(), st.lists(st.integers(-2, 3), min_size=3, max_size=3))
+def test_motive_is_nonzero_exactly_where_a_component_is(inputs, moves):
+    """The motivic series is nonzero at exactly the cells that hold a fixed
+    component, with no smoothness assumption.  The formula equals the
+    oracle's sum over the fixed components at a cell of L**k times the
+    class of a nonempty variety.  A nonempty variety of dimension n has a
+    positive coefficient at (uv)**n, the count of its n-dimensional
+    components, and no monomial above it in u or v; so at the largest
+    k + n of a cell the sum's coefficient is a positive count, and an
+    occupied cell is nonzero, while an empty cell is an empty sum.
+    ``fixed_component_counts`` counts the components of each cell.  The
+    window's lo is moved by -2 to +3."""
+    curve, bundle, profile, window = inputs
+    lo = tuple(a + m for a, m in zip(window.lo, moves))
+    window = Window(lo, tuple(map(max, lo, window.hi)))
+    motivic = motivic_partition_function(curve, bundle, profile, window)
+    counts = fixed_component_counts(bundle, profile, window)
+    assert [d for d, _ in motivic.items()] == [d for d, _ in counts.items()]
+
+
 @settings(max_examples=15, deadline=None)
 @given(small_inputs())
 def test_parallel_matches_serial_on_random_inputs(inputs):
