@@ -265,19 +265,39 @@ def block_permutations(profile: NestingProfile) -> tuple[BlockPermutation, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def zeta_slots(profile: NestingProfile) -> tuple[tuple[tuple, tuple[int, ...]], ...]:
+    """For each block permutation, in the order of ``block_permutations``,
+    its group key and the zeta exponents of its slots in slot order.  The
+    key is the sorted (zeta exponent, direction) pairs of its slots, which
+    fix the multiset of its zeta factors, so block permutations with equal
+    keys share one product.  Memoized per profile, like the permutations."""
+    slots = _slots(profile)
+    directions = [m for *_, m in slots]
+    out = []
+    for sigma in block_permutations(profile):
+        exponents = tuple(sigma.zeta_exponent(i, j, a) for i, j, a, _ in slots)
+        out.append((tuple(sorted(zip(exponents, directions))), exponents))
+    return tuple(out)
+
+
 def _direction(l: int, i: int, j: int) -> tuple[int, ...]:
     """Exponent vector of the monomial q_i ... q_j (1-based, inclusive)."""
     return tuple(1 if i <= k <= j else 0 for k in range(1, l + 1))
 
 
-def _slots(profile: NestingProfile):
+@lru_cache(maxsize=None)
+def _slots(profile: NestingProfile) -> tuple[tuple[int, int, int, tuple[int, ...]], ...]:
     """The slots (i, j, alpha, m): 1 <= i <= j <= l and alpha in block j, in
-    the loop order (j, alpha, i), with m the direction of q_i ... q_j."""
+    the loop order (j, alpha, i), with m the direction of q_i ... q_j.
+    Memoized per profile: every formula builder walks them."""
     l = profile.length
-    for j in range(1, l + 1):
-        for alpha in profile.block_range(j):
-            for i in range(1, j + 1):
-                yield i, j, alpha, _direction(l, i, j)
+    return tuple(
+        (i, j, alpha, _direction(l, i, j))
+        for j in range(1, l + 1)
+        for alpha in profile.block_range(j)
+        for i in range(1, j + 1)
+    )
 
 
 def stratum_weight_identity(profile: NestingProfile) -> bool:

@@ -76,10 +76,10 @@ class Window(_Value):
 @functools.lru_cache(maxsize=64)
 def _shift_pairs(src: Window, dst: Window, delta: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     """The (source index, target index) pairs of the cells d of ``src`` with
-    d + delta inside ``dst``, both row-major, ascending.  Memoized: the
-    factor passes of one series walk share a frame and a few directions, so
-    most calls are hits, and the pairs are a tuple so no caller changes
-    them."""
+    d + delta inside ``dst``, both row-major, ascending.  Memoized, so
+    the terms of a series walk that share a shift share their pairs (the
+    walk's factor passes read theirs from the walk's plan), and the pairs
+    are a tuple so no caller changes them."""
     pairs = [(0, 0)]
     for s_lo, s_hi, t_lo, t_hi, dk in zip(src.lo, src.hi, dst.lo, dst.hi, delta):
         s_n, t_n = s_hi - s_lo + 1, t_hi - t_lo + 1

@@ -420,6 +420,43 @@ def test_prefix_sharing_is_exact(formula, lo):
     assert shared == formulas._evaluate(formula, window, parallel=True)
 
 
+def _reference_series(formula, window):
+    """The formula's series made factor by factor with the reference kernels,
+    each term on a window whose lo is at or below its shift, then cut to
+    ``window``."""
+    from hyperquot.qseries import geometric_divide, linear_multiply, series_monomial
+
+    total = zero_series(window)
+    for factors, terms in formula.items():
+        for shift, c in terms:
+            wide = Window(tuple(map(min, window.lo, shift)), window.hi)
+            series = series_monomial(wide, shift, c)
+            for e, pu, pv, m in factors:
+                step = linear_multiply if e > 0 else geometric_divide
+                series = step(series, EPoly.monomial(pu, pv), m)
+            total = total + MSeries(window, series.coeffs)
+    return total
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_formulas(), st.integers(0, 1), st.integers(-2, 4), st.integers(0, 4), st.integers(0, 4))
+def test_identity_factors_drop_exactly(formula, axis, other, below, below_other):
+    # hi is the least shift along one axis, so every factor that moves along
+    # it has no room in the frame: the plan drops it, and may merge groups
+    least = tuple(map(min, zip(*(s for terms in formula.values() for s, _ in terms))))
+    hi = [other, other]
+    hi[axis] = least[axis]
+    lo = [h - below_other for h in hi]
+    lo[axis] = hi[axis] - below
+    window = Window(tuple(lo), tuple(hi))
+    serial = formulas._evaluate(formula, window)
+    assert serial == _reference_series(formula, window)
+    assert serial == formulas._evaluate(formula, window, parallel=True)
+    plan = formulas._plan(formula, window)
+    if plan is not None:
+        assert all(m[axis] == 0 for t in plan.groups for *_, m in t)
+
+
 def _formula(monkeypatch, build):
     """The formula that ``build()`` hands to ``_evaluate``."""
     seen = []
@@ -446,10 +483,10 @@ def _passes(monkeypatch, run) -> list[Window]:
     kernel ``_pass``; its call with no factor, at the root, is no pass."""
     windows, step = [], formulas._pass
 
-    def spy(acc, factor, frame, monomials):
+    def spy(acc, factor, plan, monomials):
         if factor is not None:
-            windows.append(frame)
-        return step(acc, factor, frame, monomials)
+            windows.append(plan.frame)
+        return step(acc, factor, plan, monomials)
 
     monkeypatch.setattr(formulas, "_pass", spy)
     run()
@@ -479,10 +516,15 @@ def test_groups_share_factor_prefixes(monkeypatch):
         (4, (0, 1, 2, 3), (2,), (30,), 60),
         (2, (0,) * 4, (1, 2, 3), (4, 4, 4), 156),
         (3, (0, -1, 1), (1, 2), (8, 8), 64),
+        # q_1 has no room in the frame: of the 48 passes of the whole tuples,
+        # the 36 of directions q_1 and q_1 q_2 are identity passes
+        (2, (0, 0, 0), (1, 2), (0, 6), 12),
     ],
 )
 def test_motivic_passes_are_the_cut_trie_nodes(monkeypatch, genus, degrees, s, hi, passes):
     formula, window = _motivic_formula(monkeypatch, genus, degrees, s, hi)
+    plan = formulas._plan(formula, window)
+    assert plan.passes == passes
     built, monomial = [], EPoly.monomial
     monkeypatch.setattr(EPoly, "monomial", lambda *a: built.append(a) or monomial(*a))
     nodes, node = [], formulas._Node
@@ -491,8 +533,9 @@ def test_motivic_passes_are_the_cut_trie_nodes(monkeypatch, genus, degrees, s, h
     windows = _passes(monkeypatch, lambda: formulas._evaluate(formula, window))
     # every pass of one evaluation runs on the formula's frame
     assert len(windows) == passes and len(set(windows)) == 1
-    # and the walk builds each distinct factor monomial u**pu v**pv once
-    assert sorted(built) == sorted({(pu, pv) for t in formula for _, pu, pv, _ in t})
+    # and the walk builds each distinct factor monomial u**pu v**pv of its
+    # plan once
+    assert sorted(built) == sorted({(pu, pv) for t in plan.groups for _, pu, pv, _ in t})
     # and makes each trie node once: one per pass, and the two roots
     assert len(nodes) == passes + 2
 
@@ -518,12 +561,14 @@ def _euler_series():
 @pytest.mark.parametrize(
     "run, stride",
     [
-        # the motivic_large cases: 2g band moves per slot, so the band bound
-        # is 2g times the slots of a tuple
+        # the motivic_large cases: 2g band moves per slot, at most as many
+        # as the frame's degree budget pays for at |m| each; the first, third
+        # and fifth frames pay for all of them, the second for 10 of the 12
+        # moves each way, the fourth for 9 of 12
         (lambda: _motivic_series(2, (0, 0, 0), (1, 2), (12, 12)), 13),
-        (lambda: _motivic_series(2, (0,) * 5, (1, 3), (6, 6)), 25),
+        (lambda: _motivic_series(2, (0,) * 5, (1, 3), (6, 6)), 21),
         (lambda: _motivic_series(4, (0, 1, 2, 3), (2,), (30,)), 17),
-        (lambda: _motivic_series(2, (0,) * 4, (1, 2, 3), (4, 4, 4)), 25),
+        (lambda: _motivic_series(2, (0,) * 4, (1, 2, 3), (4, 4, 4)), 19),
         (lambda: _motivic_series(3, (0, -1, 1), (1, 2), (8, 8)), 19),
         # no factor moves the band, and the flag class is a polynomial in L
         (_genus0_series, 1),
@@ -531,7 +576,7 @@ def _euler_series():
     ],
 )
 def test_every_walk_value_has_the_walk_stride(monkeypatch, run, stride):
-    walk_strides, seen = [], set()
+    walk_strides, seen, bands = [], set(), set()
     walk_stride, axpy = formulas._walk_stride, epoly._axpy
 
     def spy_stride(live):
@@ -541,6 +586,7 @@ def test_every_walk_value_has_the_walk_stride(monkeypatch, run, stride):
     def spy_axpy(out, *args):
         axpy(out, *args)
         seen.update(x[4] for x in out if x)  # a cell's stride
+        bands.update(x[5] for x in out if x)  # and its vh
 
     monkeypatch.setattr(formulas, "_walk_stride", spy_stride)
     monkeypatch.setattr(formulas, "_axpy", spy_axpy)
@@ -548,6 +594,8 @@ def test_every_walk_value_has_the_walk_stride(monkeypatch, run, stride):
     series = run()
     assert walk_strides == [stride]
     assert seen == {x._w for x in series.values if x} == {stride}
+    # and every value's band fits in it: the bound is sound as well as tight
+    assert max(bands) < stride
 
 
 def test_walk_wraps_its_frame_once(monkeypatch):
@@ -586,21 +634,21 @@ def _cut_passes(monkeypatch, tuples) -> int:
 
 
 def test_cut_of_one_group_is_its_length():
-    assert formulas._cut([(A, B, X, Y)]) == 4
-    assert formulas._cut([()]) == 0
+    assert formulas._cut([(A, B, X, Y)]) == (4, 4)
+    assert formulas._cut([()]) == (0, 0)
 
 
 def test_cut_at_the_fewest_trie_nodes(monkeypatch):
     # prefix nodes at k = 0..4: 0, 2, 5, 8, 11; suffix nodes of the rest: 7, 4, 2, 1, 0
     tuples = [(A, C, X, Y), (A, D, X, Y), (B, C, X, Y)]
-    assert formulas._cut(tuples) == 1
+    assert formulas._cut(tuples) == (1, 6)
     assert _cut_passes(monkeypatch, tuples) == 6
 
 
 def test_cut_tie_goes_to_the_larger_depth(monkeypatch):
     # 4 nodes at k = 0 (suffix trie only) and at k = 1 (a, b, then x, y)
     tuples = [(A, X, Y), (B, X, Y)]
-    assert formulas._cut(tuples) == 1
+    assert formulas._cut(tuples) == (1, 4)
     assert _cut_passes(monkeypatch, tuples) == 4
 
 
@@ -612,7 +660,8 @@ def test_deep_shared_suffix_needs_no_recursion():
         ((1, 0, 1, (1,)),) + tail: [((1,), L), ((0,), -ONE)],
     }
     window = Window((0,), (2,))
-    assert formulas._cut(list(formula)) == 1
+    # two heads, then one shared tail of n - 1 factors
+    assert formulas._cut(list(formula)) == (1, n + 1)
     one_by_one = [formulas._evaluate({k: v}, window) for k, v in formula.items()]
     assert formulas._evaluate(formula, window) == sum(one_by_one, zero_series(window))
 
@@ -662,6 +711,10 @@ def test_every_formula_is_one_slot_product(case):
         moves = [[pv - pu for _, pu, pv, _ in t] for t in tuples]
         bands = [(sum(d for d in m if d < 0), sum(d for d in m if d > 0)) for m in moves]
         assert bands == [bands[0]] * len(bands)
+        # and the plan's frame-aware bound too: every tuple has the same moves
+        # at each direction, so any frame drops the same moves from each
+        moved = [sorted((pv - pu, m) for _, pu, pv, m in t if pv != pu) for t in tuples]
+        assert moved == [moved[0]] * len(moved)
 
 
 @pytest.mark.parametrize("genus", [0, 1, 2, 3])
